@@ -64,11 +64,9 @@ void AdaptiveAlternateRouter::dx_plan_out(
 }
 
 void AdaptiveAlternateRouter::dx_plan_in(NodeCtx& ctx,
-                                         std::span<const PacketDxView> resident,
                                          std::span<const DxOffer> offers,
                                          InPlan& plan) {
-  rotating_accept(ctx.state, ctx.capacity - static_cast<int>(resident.size()),
-                  offers, plan);
+  rotating_accept(ctx.state, ctx.capacity - ctx.resident, offers, plan);
 }
 
 void AdaptiveAlternateRouter::dx_update(NodeCtx& ctx,
@@ -110,12 +108,9 @@ void GreedyMatchRouter::dx_plan_out(NodeCtx& ctx,
 }
 
 void GreedyMatchRouter::dx_plan_in(NodeCtx& ctx,
-                                   std::span<const PacketDxView> resident,
                                    std::span<const DxOffer> offers,
                                    InPlan& plan) {
-  rotating_accept(ctx.state + 1, ctx.capacity -
-                                     static_cast<int>(resident.size()),
-                  offers, plan);
+  rotating_accept(ctx.state + 1, ctx.capacity - ctx.resident, offers, plan);
 }
 
 void GreedyMatchRouter::dx_update(NodeCtx& ctx, std::span<PacketDxView>) {

@@ -21,8 +21,8 @@ class AdaptiveAlternateRouter final : public DxAlgorithm {
   void dx_init(NodeCtx& ctx, std::span<PacketDxView> resident) override;
   void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const PacketDxView> resident,
-                  std::span<const DxOffer> offers, InPlan& plan) override;
+  void dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
+                  InPlan& plan) override;
   void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) override;
 
  private:
@@ -37,8 +37,8 @@ class GreedyMatchRouter final : public DxAlgorithm {
  protected:
   void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const PacketDxView> resident,
-                  std::span<const DxOffer> offers, InPlan& plan) override;
+  void dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
+                  InPlan& plan) override;
   void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) override;
 };
 

@@ -65,8 +65,7 @@ void BoundedDimensionOrderRouter::dx_plan_out(
 }
 
 void BoundedDimensionOrderRouter::dx_plan_in(
-    NodeCtx& ctx, std::span<const PacketDxView>,
-    std::span<const DxOffer> offers, InPlan& plan) {
+    NodeCtx& ctx, std::span<const DxOffer> offers, InPlan& plan) {
   // Occupancy per inlink queue at the start of the step, precomputed by
   // the engine's incremental counters.
   const std::array<int, kNumDirs>& occupancy = ctx.inlink_occupancy;

@@ -21,14 +21,17 @@ namespace mr {
 
 class BoundedDimensionOrderRouter final : public DxAlgorithm {
  public:
+  /// Stateless: every decision reads queue tags and profitable masks.
+  BoundedDimensionOrderRouter() : DxAlgorithm(Update::None) {}
+
   std::string name() const override { return "bounded-dimension-order"; }
   QueueLayout queue_layout() const override { return QueueLayout::PerInlink; }
 
  protected:
   void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const PacketDxView> resident,
-                  std::span<const DxOffer> offers, InPlan& plan) override;
+  void dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
+                  InPlan& plan) override;
 };
 
 }  // namespace mr

@@ -35,14 +35,13 @@ void DimensionOrderRouter::dx_plan_out(NodeCtx&,
 }
 
 void DimensionOrderRouter::dx_plan_in(NodeCtx& ctx,
-                                      std::span<const PacketDxView> resident,
                                       std::span<const DxOffer> offers,
                                       InPlan& plan) {
   // Rotating-priority inqueue (the paper's round-robin example): the
   // starting inlink advances by one every step (see dx_update). Accepts
   // conservatively: never more than the space that remains even if none of
   // the node's own packets departs.
-  int free = ctx.capacity - static_cast<int>(resident.size());
+  int free = ctx.capacity - ctx.resident;
   const int start = static_cast<int>(ctx.state % kNumDirs);
   for (int r = 0; r < kNumDirs && free > 0; ++r) {
     const Dir want = static_cast<Dir>((start + r) % kNumDirs);

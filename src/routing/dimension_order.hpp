@@ -18,8 +18,8 @@ class DimensionOrderRouter final : public DxAlgorithm {
  protected:
   void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const PacketDxView> resident,
-                  std::span<const DxOffer> offers, InPlan& plan) override;
+  void dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
+                  InPlan& plan) override;
   void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) override;
 };
 

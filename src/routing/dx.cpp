@@ -12,10 +12,8 @@ DxAlgorithm::NodeCtx DxAlgorithm::make_ctx(const Sim& e, NodeId u) const {
   ctx.step = e.step();
   ctx.capacity = e.queue_capacity();
   ctx.state = e.node_state(u);
-  // The default avail mask (all links up) keeps the fault-free hot path
-  // free of per-node availability lookups.
+  ctx.resident = e.occupancy(u);
   ctx.fault_mode = !e.fault_schedule().empty();
-  if (e.faults_active()) ctx.avail = e.available_mask(u);
   if (e.queue_layout() == QueueLayout::PerInlink) {
     for (int t = 0; t < kNumDirs; ++t)
       ctx.inlink_occupancy[t] = e.occupancy(u, static_cast<QueueTag>(t));
@@ -54,7 +52,6 @@ void DxAlgorithm::plan_out(Sim& e, NodeId u, OutPlan& plan) {
 void DxAlgorithm::plan_in(Sim& e, NodeId v, std::span<const Offer> offers,
                           InPlan& plan) {
   NodeCtx ctx = make_ctx(e, v);
-  fill_views(e, v);
   dx_offers_.clear();
   for (const Offer& o : offers) {
     const Packet& pk = e.packet(o.packet);
@@ -64,11 +61,11 @@ void DxAlgorithm::plan_in(Sim& e, NodeId v, std::span<const Offer> offers,
                              o.profitable_from_sender},
                 o.dir});
   }
-  dx_plan_in(ctx, std::span<const PacketDxView>(views_),
-             std::span<const DxOffer>(dx_offers_), plan);
+  dx_plan_in(ctx, std::span<const DxOffer>(dx_offers_), plan);
 }
 
 void DxAlgorithm::update_state(Sim& e, NodeId v) {
+  if (!has_update_) return;
   NodeCtx ctx = make_ctx(e, v);
   fill_views(e, v);
   dx_update(ctx, std::span<PacketDxView>(views_));

@@ -11,7 +11,19 @@
 // dx_* callbacks receive PacketDxView records that simply do not contain
 // the destination, and the adapter (this class) is the only code path from
 // Engine to the policy. Lemma 10's exchange-equivariance is additionally
-// property-tested in tests/routing/dx_equivariance_test.cpp.
+// property-tested in tests/dx_equivariance_test.cpp.
+//
+// Adapter contract (tests/dx_adapter_test.cpp). Views are copied from the
+// Sim only for the callbacks that read them, and never carried across
+// phases (the phase-(b) interceptor may change profitable masks in
+// between):
+//   * dx_init and dx_plan_out receive the node's resident views;
+//   * dx_plan_in receives no resident views, only the offers. NodeCtx
+//     carries the counts an inqueue policy needs — `resident` and
+//     `inlink_occupancy` — read at the start of phase (c);
+//   * dx_update receives the resident views after transmission. A router
+//     that constructs the adapter with Update::None never reaches it:
+//     update_state returns before building a context or views.
 //
 // A node IS allowed to know its own identity, coordinates, the mesh shape,
 // k and the global step counter: the lower-bound argument never relocates
@@ -60,6 +72,10 @@ class DxAlgorithm : public Algorithm {
     Step step = 0;             ///< step being executed (0 during init)
     int capacity = 0;          ///< k
     std::uint64_t state = 0;   ///< node state; written back after the call
+    /// Packets queued at this node, all queues together. §2-legal: the
+    /// number of resident views, provided to the inqueue policy, which
+    /// receives no views.
+    int resident = 0;
     /// Per-inlink queue occupancy at this node (PerInlink layout only;
     /// all-zero under the central layout). §2-legal: derivable from the
     /// resident packet views, provided precomputed so policies need not
@@ -75,25 +91,9 @@ class DxAlgorithm : public Algorithm {
     /// column queue after the window lifts, so the queue-phase structure
     /// those guarantees rest on is void globally and outlives every
     /// window. Environmental knowledge, not destination-derived, so
-    /// exchange-equivariance is unaffected.
+    /// exchange-equivariance is unaffected. Faults otherwise reach a
+    /// policy only through the masked profitable outlinks.
     bool fault_mode = false;
-
-    /// Outlinks of this node usable under the current fault set. Bits for
-    /// non-existent links may be set — consult has_outlink first; what
-    /// matters is that a fault CLEARS the bit of an existing link.
-    /// §2-legal: a router observes the state of its own links, never a
-    /// destination.
-    DirMask avail = dir_bit(Dir::North) | dir_bit(Dir::East) |
-                    dir_bit(Dir::South) | dir_bit(Dir::West);
-
-    /// True when at least one existing outlink is currently down.
-    bool degraded() const {
-      for (int i = 0; i < kNumDirs; ++i) {
-        const Dir d = static_cast<Dir>(i);
-        if (has_outlink(d) && !mask_has(avail, d)) return true;
-      }
-      return false;
-    }
 
     /// True if the outlink in direction d exists from this node.
     bool has_outlink(Dir d) const {
@@ -108,6 +108,11 @@ class DxAlgorithm : public Algorithm {
     }
   };
 
+  /// Whether the router type defines a state update (dx_update). With
+  /// None, phase (e) skips the router: update_state still runs, so
+  /// decorators see the call, but returns before touching the Sim.
+  enum class Update { Defined, None };
+
   // Adapter plumbing: translates Engine callbacks into DX views. Final so
   // subclasses cannot reopen access to destinations.
   void init(Sim& e) final;
@@ -117,6 +122,9 @@ class DxAlgorithm : public Algorithm {
   void update_state(Sim& e, NodeId v) final;
 
  protected:
+  explicit DxAlgorithm(Update update = Update::Defined)
+      : has_update_(update == Update::Defined) {}
+
   /// Initial node state from the profitable outlinks of resident packets
   /// (§3: the initial state may depend on the packet that originates
   /// there). Packet `state` fields in `resident` may be modified; they are
@@ -133,13 +141,14 @@ class DxAlgorithm : public Algorithm {
 
   /// Inqueue policy: fill plan.accept (same indexing as offers). Must
   /// guarantee no overflow given that none of the node's own packets is
-  /// certain to leave.
-  virtual void dx_plan_in(NodeCtx& ctx,
-                          std::span<const PacketDxView> resident,
-                          std::span<const DxOffer> offers, InPlan& plan) = 0;
+  /// certain to leave; ctx.resident and ctx.inlink_occupancy give the
+  /// queue lengths at the start of phase (c).
+  virtual void dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
+                          InPlan& plan) = 0;
 
   /// End-of-step state update; resident packet states may be modified and
-  /// are written back. Default: no state.
+  /// are written back. Default: no state. Never called on a router
+  /// constructed with Update::None.
   virtual void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) {
     (void)ctx;
     (void)resident;
@@ -149,6 +158,7 @@ class DxAlgorithm : public Algorithm {
   NodeCtx make_ctx(const Sim& e, NodeId u) const;
   void fill_views(const Sim& e, NodeId u);
 
+  bool has_update_;
   // scratch, reused across callbacks
   std::vector<PacketDxView> views_;
   std::vector<DxOffer> dx_offers_;

@@ -23,10 +23,9 @@ void StrayRouter::dx_plan_out(NodeCtx& ctx,
   }
 }
 
-void StrayRouter::dx_plan_in(NodeCtx& ctx,
-                             std::span<const PacketDxView> resident,
-                             std::span<const DxOffer> offers, InPlan& plan) {
-  int free = ctx.capacity - static_cast<int>(resident.size());
+void StrayRouter::dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
+                             InPlan& plan) {
+  int free = ctx.capacity - ctx.resident;
   const int start = static_cast<int>(ctx.state % kNumDirs);
   for (int r = 0; r < kNumDirs && free > 0; ++r) {
     const Dir want = static_cast<Dir>((start + r) % kNumDirs);

@@ -58,10 +58,9 @@ void WestFirstRouter::dx_plan_out(NodeCtx& ctx,
 }
 
 void WestFirstRouter::dx_plan_in(NodeCtx& ctx,
-                                 std::span<const PacketDxView> resident,
                                  std::span<const DxOffer> offers,
                                  InPlan& plan) {
-  int free = ctx.capacity - static_cast<int>(resident.size());
+  int free = ctx.capacity - ctx.resident;
   const int start = static_cast<int>((ctx.state >> 8) & 0x3u);
   for (int r = 0; r < kNumDirs && free > 0; ++r) {
     const Dir want = static_cast<Dir>((start + r) % kNumDirs);

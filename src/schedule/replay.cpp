@@ -26,16 +26,12 @@ void ScheduleFollower::dx_plan_out(NodeCtx& ctx,
   }
 }
 
-void ScheduleFollower::dx_plan_in(NodeCtx& ctx,
-                                  std::span<const PacketDxView> resident,
-                                  std::span<const DxOffer> offers,
+void ScheduleFollower::dx_plan_in(NodeCtx&, std::span<const DxOffer> offers,
                                   InPlan& plan) {
   // A feasible schedule never exceeds required_queue_capacity(), and
   // replay_schedule sizes the engine to exactly that bound, so every
   // offer is accepted; the engine's §2 capacity check still audits the
   // claim after each transmit phase.
-  (void)ctx;
-  (void)resident;
   for (std::size_t i = 0; i < offers.size(); ++i) plan.accept[i] = true;
 }
 

@@ -35,7 +35,7 @@ namespace mr {
 class ScheduleFollower final : public DxAlgorithm {
  public:
   explicit ScheduleFollower(std::shared_ptr<const Schedule> schedule)
-      : schedule_(std::move(schedule)) {
+      : DxAlgorithm(Update::None), schedule_(std::move(schedule)) {
     MR_REQUIRE(schedule_ != nullptr);
   }
 
@@ -45,8 +45,8 @@ class ScheduleFollower final : public DxAlgorithm {
  protected:
   void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const PacketDxView> resident,
-                  std::span<const DxOffer> offers, InPlan& plan) override;
+  void dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
+                  InPlan& plan) override;
 
  private:
   std::shared_ptr<const Schedule> schedule_;

@@ -53,6 +53,14 @@ Workload base_workload(const Mesh& mesh, NodeId d0, NodeId d1) {
 
 class DxEquivariance : public ::testing::TestWithParam<std::string> {};
 
+/// The Theorem 14 class plus Theorem 15's bounded dimension-order router,
+/// which is destination-exchangeable too but uses per-inlink queues.
+std::vector<std::string> dx_routers() {
+  std::vector<std::string> names = dx_minimal_algorithm_names();
+  names.push_back("bounded-dimension-order");
+  return names;
+}
+
 TEST_P(DxEquivariance, SwapIsInvisible) {
   const Mesh mesh = Mesh::square(12);
   // Both destinations strictly northeast of anywhere packets 0/1 can reach
@@ -77,29 +85,13 @@ TEST_P(DxEquivariance, SwapIsInvisible) {
 }
 
 INSTANTIATE_TEST_SUITE_P(DxAlgorithms, DxEquivariance,
-                         ::testing::ValuesIn(dx_minimal_algorithm_names()),
+                         ::testing::ValuesIn(dx_routers()),
                          [](const auto& info) {
                            std::string n = info.param;
                            for (char& ch : n)
                              if (ch == '-') ch = '_';
                            return n;
                          });
-
-TEST(DxEquivariance, BoundedDimensionOrderIsAlsoDx) {
-  // Theorem 15's router is destination-exchangeable too; same property,
-  // horizontal-only packets.
-  const Mesh mesh = Mesh::square(12);
-  Workload w_orig, w_swap;
-  w_orig.push_back(Demand{mesh.id_of(0, 0), mesh.id_of(9, 0), 0});
-  w_orig.push_back(Demand{mesh.id_of(0, 0), mesh.id_of(11, 0), 0});
-  w_swap.push_back(Demand{mesh.id_of(0, 0), mesh.id_of(11, 0), 0});
-  w_swap.push_back(Demand{mesh.id_of(0, 0), mesh.id_of(9, 0), 0});
-  const Snapshot a = run_steps("bounded-dimension-order", w_orig, 2, 4);
-  const Snapshot b = run_steps("bounded-dimension-order", w_swap, 2, 4);
-  EXPECT_EQ(a.locations, b.locations);
-  EXPECT_EQ(a.dests[0], b.dests[1]);
-  EXPECT_EQ(a.dests[1], b.dests[0]);
-}
 
 TEST(DxEquivariance, FarthestFirstIsNotDx) {
   // Negative control: two packets in one node, both eastbound, different
