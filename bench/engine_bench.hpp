@@ -27,8 +27,8 @@ struct RunStats {
   std::size_t delivered = 0;
   std::size_t packets = 0;
   bool stalled = false;
-  /// Engine mode for this row (DESIGN.md §9). shards/threads = 1 is the
-  /// sequential engine; max_steps > 0 means the run was step-budgeted
+  /// Engine mode for this row (DESIGN.md §9). shards/threads = 1 is one
+  /// band on the calling thread; max_steps > 0 means the run was step-budgeted
   /// rather than drained (the n >= 1024 scaled rows).
   int shards = 1;
   int threads = 1;

@@ -46,7 +46,7 @@
 //   meshroute_bench --adversary            attach the online greedy
 //                                          destination-exchange adversary
 //                                          to every scenario run (forces
-//                                          the sequential engine)
+//                                          one row band)
 //   meshroute_bench --validate=PATH        only validate an existing JSON
 //                                          record (scenario .json or
 //                                          telemetry .jsonl)
@@ -295,9 +295,9 @@ int main(int argc, char** argv) {
       if (rec.run.engine_mode == EngineMode::SequentialFallback) ++fallbacks;
     if (fallbacks > 0)
       std::fprintf(stderr,
-                   "notice: %s: %zu run(s) used the sequential engine despite "
-                   "--engine-shards/--engine-threads (step interceptors are "
-                   "sequential-only)\n",
+                   "notice: %s: %zu run(s) used one row band despite "
+                   "--engine-shards/--engine-threads (step interceptors "
+                   "require one band)\n",
                    r.id.c_str(), fallbacks);
     for (const ScenarioRunRecord& rec : r.runs) {
       if (rec.run.telemetry_path.empty()) continue;

@@ -71,10 +71,10 @@ RunResult run_workload(const RunSpec& spec, const Workload& workload,
   config.queue_capacity = spec.queue_capacity;
   config.stall_limit = spec.stall_limit;
   config.stall_counts_pending_injections = open_loop;
-  // Phase (b) exchanges are inherently sequential, so an interceptor run
-  // falls back to the sequential engine (results are identical either way;
-  // only wall-clock differs). The fallback is surfaced through
-  // RunResult::engine_mode rather than silently dropped.
+  // Phase (b) requires one band, so an interceptor run falls back to
+  // shards = 1 (results are identical either way; only wall-clock
+  // differs). The fallback is surfaced through RunResult::engine_mode
+  // rather than silently dropped.
   const bool wanted_sharded = spec.engine_shards > 1 || spec.engine_threads > 1;
   const bool fallback = interceptor != nullptr && wanted_sharded;
   config.shards = interceptor != nullptr ? 1 : spec.engine_shards;

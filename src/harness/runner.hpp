@@ -19,10 +19,12 @@ namespace mr {
 
 class TrafficSource;
 
-/// How a run's engine actually stepped. Sharding can be requested but not
-/// honoured: a run carrying an interceptor falls back to the sequential
-/// engine (phase (b) is inherently sequential), reported as
-/// SequentialFallback.
+/// How a run's engine actually stepped. Several row bands can be requested
+/// but not honoured: a run carrying an interceptor falls back to one band
+/// (phase (b) runs on the coordinator over the whole step's moves),
+/// reported as SequentialFallback. Sequential means one band on the
+/// calling thread; the names predate the single step pipeline and are kept
+/// because recorded JSON and checkpoint done-records parse them.
 enum class EngineMode {
   Sequential,
   Sharded,
@@ -70,10 +72,10 @@ struct RunSpec {
     return topology.empty() ? "mesh" : topology;
   }
 
-  /// Sharded stepping mode (Engine::Config::shards / ::threads; DESIGN.md
-  /// §9). Results are bit-identical to the sequential engine for any
+  /// Row bands and threads of the step pipeline (Engine::Config::shards /
+  /// ::threads; DESIGN.md §9). Results are bit-identical for any
   /// combination. A run with an interceptor hook falls back to
-  /// shards = 1 (phase (b) is inherently sequential).
+  /// shards = 1 (phase (b) requires one band).
   int engine_shards = 1;
   int engine_threads = 1;
 
@@ -92,7 +94,7 @@ struct RunSpec {
   FaultSchedule faults;
 
   /// Attach the online GreedyAdversary (check/adversary.hpp) as the run's
-  /// interceptor. Forces the sequential engine like any interceptor;
+  /// interceptor. Forces one band like any interceptor;
   /// ignored when RunHooks::interceptor is already set (an explicit hook
   /// wins).
   bool adversary = false;

@@ -16,18 +16,20 @@
 // implements the same observable semantics move for move; the differential
 // fuzzer (check/fuzz.hpp) asserts the two stay bit-identical.
 //
-// Sharded parallel stepping (Config::shards > 1) tiles the mesh into
-// horizontal row bands and steps them concurrently on a persistent worker
-// pool, exchanging frontier offers/acceptances at band boundaries through
-// single-writer mailboxes between barrier-separated phases (DESIGN.md §9).
-// The handoff protocol preserves every sequential iteration order, so
-// fingerprints, digests and counters are bit-identical to shards = 1 for
-// every shards/threads combination.
+// There is one step pipeline (DESIGN.md §9). It tiles the mesh into
+// Config::shards horizontal row bands (one by default) and runs each phase
+// band by band, on a persistent worker pool when there are several bands
+// and threads, exchanging frontier offers/acceptances at band boundaries
+// through single-writer mailboxes between barrier-separated phases. The
+// handoff protocol preserves the ascending-NodeId iteration order of the
+// one-band case, so fingerprints, digests and counters are bit-identical
+// for every shards/threads combination. Phase (b) runs on the
+// coordinator, which is why a StepInterceptor requires one band.
 //
 // Per-step cost is O(active nodes + moves): queue occupancy is maintained
 // as incremental counters, packets carry their queue-slot index and cached
-// profitable mask, the active-node list stays sorted by merging newly
-// activated nodes instead of re-sorting, and offers are grouped by
+// profitable mask, each band's active-node list stays sorted by merging
+// newly activated nodes instead of re-sorting, and offers are grouped by
 // receiving node via a 4-way merge of the per-direction move streams
 // instead of a comparison sort.
 //
@@ -60,7 +62,7 @@ namespace mr {
 /// The five phases of the §3 step pipeline, in execution order. Indices
 /// into PhaseProfile::seconds.
 enum class StepPhase : std::uint8_t {
-  PlanOut = 0,      ///< (a) outqueue policies + plan validation
+  PlanOut = 0,      ///< injection + (a) outqueue policies + plan validation
   Interceptor = 1,  ///< (b) adversary exchanges
   PlanIn = 2,       ///< (c) offer grouping + inqueue policies
   Transmit = 3,     ///< (d) transmissions + capacity checks
@@ -80,9 +82,10 @@ constexpr const char* phase_name(StepPhase p) {
 }
 
 /// Wall-clock profile of the step pipeline, accumulated by the engine when
-/// phase profiling is enabled. `total_seconds` covers whole steps
-/// (injection and observer dispatch included), so
-/// total_seconds - sum(seconds) is the out-of-phase overhead.
+/// phase profiling is enabled. Injection shares a task with phase (a) and
+/// is counted under PlanOut. `total_seconds` covers whole steps (observer
+/// dispatch included), so total_seconds - sum(seconds) is the
+/// out-of-phase overhead.
 struct PhaseProfile {
   std::array<double, kNumPhases> seconds{};
   double total_seconds = 0;
@@ -115,11 +118,12 @@ class Engine : public Sim {
     /// injection is pending" clause would otherwise never let a deadlocked
     /// network trip the limit. Off by default (batch semantics unchanged).
     bool stall_counts_pending_injections = false;
-    /// Sharded parallel stepping: the mesh is tiled into this many
-    /// horizontal row bands and each band steps independently between
-    /// deterministic frontier handoffs (see DESIGN.md §9). Clamped to the
-    /// mesh height. Results are bit-identical to shards = 1 for every
-    /// shards/threads combination. Incompatible with a StepInterceptor.
+    /// Row bands of the step pipeline: the mesh is tiled into this many
+    /// horizontal bands, each stepping independently between deterministic
+    /// frontier handoffs (see DESIGN.md §9). Clamped to the mesh height.
+    /// Results are bit-identical for every shards/threads combination; 1
+    /// (the default) is the one-band case, the only one a StepInterceptor
+    /// accepts.
     int shards = 1;
     /// Worker threads stepping the bands: 1 runs the bands serially on the
     /// calling thread, 0 uses default_thread_count(), values above the
@@ -155,17 +159,16 @@ class Engine : public Sim {
   PacketId pump_packet(NodeId source, NodeId dest, Step injected_at);
 
   void set_interceptor(StepInterceptor* interceptor) {
-    // Phase (b) exchanges reclassify deliveries between phases (a) and (c),
-    // which the banded pipeline does not replay; adversary runs are
-    // sequential by construction.
+    // Phase (b) sees the whole step's move list at once and may exchange
+    // destinations of packets anywhere in the mesh, so the coordinator runs
+    // it between the plan-out and plan-in barriers on band 0's moves.
     MR_REQUIRE_MSG(num_shards_ == 1 || interceptor == nullptr,
-                   "StepInterceptor requires the sequential engine "
-                   "(Config::shards = 1)");
+                   "StepInterceptor requires one band (Config::shards = 1)");
     interceptor_ = interceptor;
   }
 
   /// Number of row bands actually in use (config value clamped to the mesh
-  /// height); 1 means classic sequential stepping.
+  /// height); 1 is the one-band case, stepped on the calling thread.
   int shard_count() const { return num_shards_; }
   /// Execution lanes stepping the bands (1 = serial).
   int thread_count() const {
@@ -213,10 +216,11 @@ class Engine : public Sim {
 
   // --- Sim interface -----------------------------------------------------
   /// Nodes currently holding at least one packet, ascending by NodeId.
-  /// Valid between steps and inside on_prepare_end / on_step_end. In
-  /// sharded mode the global list is rebuilt lazily by concatenating the
-  /// per-band lists (bands own contiguous ascending NodeId ranges, so the
-  /// concatenation is sorted).
+  /// Valid between steps, inside on_prepare_end / on_step_end and in
+  /// phase (b). With one band this is the band's own list; with several
+  /// the global list is rebuilt lazily by concatenating the per-band lists
+  /// (bands own contiguous ascending NodeId ranges, so the concatenation
+  /// is sorted).
   std::span<const NodeId> active_nodes() const override;
   /// Occupancy of one inlink queue (PerInlink layout only). O(1): read
   /// from the incrementally maintained counters.
@@ -228,7 +232,7 @@ class Engine : public Sim {
   void exchange_destinations(PacketId a, PacketId b) override;
 
  private:
-  /// One row band of the sharded pipeline: bands own contiguous NodeId
+  /// One row band of the step pipeline: bands own contiguous NodeId
   /// ranges (row-major ids), so per-band sorted lists concatenate to
   /// globally sorted lists — the property the deterministic handoff
   /// protocol rests on. All vectors are reused across steps.
@@ -236,7 +240,14 @@ class Engine : public Sim {
     NodeId node_begin = 0;
     NodeId node_end = 0;  ///< one past the last owned node
 
-    // Band-local mirror of active_/active_sorted_.
+    /// Ownership test for the per-move loops: two compares, where
+    /// shard_of_node() divides by the mesh width.
+    bool owns(NodeId u) const { return u >= node_begin && u < node_end; }
+
+    // Nodes of the band holding >=1 packet. The first active_sorted
+    // entries are sorted ascending; place_packet appends newly activated
+    // nodes past that prefix and the injection and update phases merge
+    // them in. Idle nodes cost nothing per step.
     std::vector<NodeId> active;
     std::size_t active_sorted = 0;
 
@@ -246,27 +257,31 @@ class Engine : public Sim {
     std::vector<PacketId> due;
     std::vector<PacketId> injected_deliveries;
 
-    // Phase (a) output. Offers that stay in the band go to dir_offers;
-    // offers crossing the band edge go to the frontier mailboxes, consumed
-    // by the cyclic successor (frontier_up, travelling north) or
-    // predecessor (frontier_down, travelling south). Single writer per
-    // mailbox, read only after the phase barrier.
+    // Phase (a) output, classified after phase (b). Offers that stay in
+    // the band go to dir_offers, bucketed by travel direction: for a fixed
+    // direction the neighbour map is monotone in the sender, so each bucket
+    // is sorted by receiving node by construction (torus wrap links
+    // excepted). Offers crossing the band edge go to the frontier
+    // mailboxes, consumed by the cyclic successor (frontier_up, travelling
+    // north) or predecessor (frontier_down, travelling south). Single
+    // writer per mailbox, read only after the phase barrier.
     std::vector<ScheduledMove> moves;
     std::vector<ScheduledMove> deliveries;
     std::array<std::vector<Offer>, kNumDirs> dir_offers;
     std::vector<Offer> frontier_up;
     std::vector<Offer> frontier_down;
 
-    // Phase (c): assembled per-direction offer lists (own + neighbour
-    // frontiers), accepted offers (receivers in this band), and accept-back
-    // mailboxes telling the sender band which of its frontier offers were
-    // accepted (consumed after the phase barrier by prev/next).
+    // Phase (c): North/South offer lists with the neighbour frontiers
+    // spliced in (built only when a frontier is non-empty), accepted
+    // offers (receivers in this band), and accept-back mailboxes telling
+    // the sender band which of its frontier offers were accepted (consumed
+    // after the phase barrier by prev/next).
     std::array<std::vector<Offer>, kNumDirs> in_offers;
     std::vector<Offer> accepted;
     std::vector<Offer> accept_back_prev;  ///< senders in the cyclic predecessor
     std::vector<Offer> accept_back_next;  ///< senders in the cyclic successor
 
-    // Per-band scratch and counters, merged by the coordinator.
+    // Per-band scratch and per-step counters, folded by the coordinator.
     std::vector<Offer> group;
     OutPlan out_plan;
     InPlan in_plan;
@@ -279,16 +294,12 @@ class Engine : public Sim {
     int max_occupancy = 0;
   };
 
-  void inject_due_packets();
   void place_packet(PacketId p, NodeId node, QueueTag tag,
                     std::vector<NodeId>& active_out);
   void remove_from_node(PacketId p);
   void validate_out_plan(NodeId u, const OutPlan& plan);
   void check_capacity_after_transmit(NodeId v);
   void record_occupancy(NodeId u, int& peak);
-  /// Sorts the appended tail of active_ and merges it into the sorted
-  /// prefix, restoring the ascending-NodeId invariant.
-  void merge_active();
   QueueTag arrival_tag(Dir travel_dir) const;
   QueueTag injection_queue_tag(PacketId p) const;
   std::size_t inlink_index(NodeId u, QueueTag tag) const {
@@ -302,21 +313,18 @@ class Engine : public Sim {
                          static_cast<std::size_t>(dir_index(d))];
   }
 
-  // --- sharded stepping (see DESIGN.md §9) ------------------------------
+  // --- the banded step pipeline (see DESIGN.md §9) ----------------------
   Engine(const Topology& topo, Config config, std::unique_ptr<Algorithm> first,
          const AlgorithmFactory& factory);
   /// Shared constructor tail: validates the config, sizes the per-node
   /// state, carves the row bands and creates the worker pool.
   void init_engine(const Config& config);
-  /// Injects the packets of `due` (already sorted by id) into their source
-  /// queues; the out-parameters let the sequential path and each band
-  /// account into their own state.
-  void inject_packet_list(const std::vector<PacketId>& due,
-                          std::vector<PacketId>& waiting_out,
-                          std::vector<NodeId>& active_out,
-                          std::vector<PacketId>* injected_deliveries_out,
-                          std::int64_t& injected, std::int64_t& delivered,
-                          std::int64_t& fault_deferred, int& peak);
+  /// Coordinator: hands every packet due this step to its source band,
+  /// where it joins the band's waiting list in `due`.
+  void stage_injections();
+  /// Resets the band's per-step counters, injects its due packets (in id
+  /// order) into their source queues and merges the band's active list.
+  void inject_band(Shard& sh, bool observed);
   /// Drops scheduled moves over unavailable links (down link, down
   /// endpoint) in place, counting them into `blocked`. No-op unless a
   /// fault is active. Runs after phase (a) — before the adversary and the
@@ -324,12 +332,18 @@ class Engine : public Sim {
   /// dead link is caught too.
   void filter_faulted_moves(std::vector<ScheduledMove>& moves,
                             std::int64_t& blocked);
-  /// Distributes the post-prepare() active/waiting state to the bands.
-  void distribute_to_shards();
+  /// Splits the band's moves into deliveries, own-band offers and frontier
+  /// offers, by the destinations they carry after phase (b).
+  void classify_moves(std::size_t si);
+  /// Folds the band counters into the engine totals and the bands'
+  /// injected deliveries (collected only when observed) into
+  /// injected_deliveries_, and marks the active-list cache stale. Returns
+  /// the number of packets that moved.
+  std::int64_t fold_band_counters();
   /// Runs fn(s) for every band, on the pool when one exists. A full
   /// barrier; exceptions rethrow from the lowest band index.
-  void run_shards(const std::function<void(std::size_t)>& fn);
-  bool step_parallel();
+  template <typename Fn>
+  void run_shards(const Fn& fn);
   int shard_of_node(NodeId u) const {
     return band_of_row_[static_cast<std::size_t>(u) /
                         static_cast<std::size_t>(topo_width_)];
@@ -362,9 +376,10 @@ class Engine : public Sim {
   std::vector<NodeId> neighbor_tab_;
 
   // injection buffer: (step, packet) sorted ascending; cursor advances.
+  // Packets due earlier whose source queue was full wait in their band's
+  // Shard::waiting list.
   std::vector<std::pair<Step, PacketId>> injections_;
   std::size_t injection_cursor_ = 0;
-  std::vector<PacketId> waiting_injections_;  // due but queue was full
 
   StepInterceptor* interceptor_ = nullptr;
 
@@ -377,32 +392,16 @@ class Engine : public Sim {
   bool profiling_ = false;
   PhaseProfile phase_profile_;
 
-  // Nodes currently holding >=1 packet. The first active_sorted_ entries
-  // are sorted ascending; place_packet appends newly activated nodes past
-  // that prefix and merge_active() restores the invariant. Idle nodes cost
-  // nothing per step. Mutable: in sharded mode this is a cache of the
-  // per-band lists, rebuilt lazily inside const active_nodes().
+  // With several bands: the concatenated per-band active lists, rebuilt
+  // lazily inside const active_nodes(). Unused with one band.
   mutable std::vector<NodeId> active_;
-  std::size_t active_sorted_ = 0;
   std::vector<std::uint8_t> is_active_;
-
-  // scratch (reused per step, no allocation on the hot path)
-  std::vector<ScheduledMove> moves_;
-  /// Offers bucketed by travel direction. For a fixed direction the mesh
-  /// neighbor map is monotone in the sender, so each bucket is sorted by
-  /// receiving node by construction (torus wrap links excepted).
-  std::vector<Offer> dir_offers_[kNumDirs];
-  std::vector<Offer> group_;
-  std::vector<Offer> accepted_;
-  std::vector<const ScheduledMove*> deliveries_;
-  std::vector<PacketId> due_;
   std::vector<std::uint8_t> packet_scheduled_;
-  OutPlan out_plan_;
-  InPlan in_plan_;
 
   // Digest scratch (valid during observer dispatch only). digest_moves_ is
-  // built in phase (d) — delivering hops first, then accepted hops, both
-  // in engine order — and only when at least one observer is registered.
+  // assembled after phase (e) — delivering hops first, then accepted hops,
+  // both in engine order — and only when at least one observer is
+  // registered.
   std::vector<MoveRecord> digest_moves_;
   std::vector<PacketId> injected_deliveries_;
   std::int64_t exchanges_before_step_ = 0;

@@ -3,12 +3,12 @@
 //
 // The snapshot stores only primary state: packet records, node state
 // words, the injection buffer and the run counters. Everything else the
-// engine keeps — the NodeQueues slab, inlink occupancy counters, active
-// lists, cached profitable masks, per-band partitions — is derived, and
-// restore() rebuilds it from the packet records: packets sorted by
+// engine keeps — the NodeQueues slab, inlink occupancy counters, the
+// bands' active and waiting lists, cached profitable masks — is derived,
+// and restore() rebuilds it from the packet records: packets sorted by
 // (location, slot) replayed through the slab reproduce the exact queue
-// contents, and since that order is ascending in location, the active
-// list comes out sorted for free.
+// contents, and since that order is ascending in location, every band's
+// active list comes out sorted for free.
 #include "sim/engine.hpp"
 
 #include <algorithm>
@@ -56,19 +56,14 @@ EngineSnapshot Engine::snapshot() const {
   s.node_state = node_state_;
   s.injections = injections_;
   s.injection_cursor = injection_cursor_;
-  if (num_shards_ > 1) {
-    // The global waiting list was partitioned into per-band lists by
-    // distribute_to_shards(); concatenate and re-sort by id — each band
-    // list is id-sorted (built by id-ordered injection), so the sort only
-    // undoes the partition and restore's re-partition reproduces the band
-    // lists exactly.
-    for (const Shard& sh : shards_)
-      s.waiting_injections.insert(s.waiting_injections.end(), sh.waiting.begin(),
-                                  sh.waiting.end());
-    std::sort(s.waiting_injections.begin(), s.waiting_injections.end());
-  } else {
-    s.waiting_injections = waiting_injections_;
-  }
+  // Packets waiting for a full source queue sit in their band's list;
+  // concatenate and re-sort by id. Each band list is id-sorted (built by
+  // id-ordered injection), so the sort only undoes the partition and
+  // restore's re-partition reproduces the band lists exactly.
+  for (const Shard& sh : shards_)
+    s.waiting_injections.insert(s.waiting_injections.end(), sh.waiting.begin(),
+                                sh.waiting.end());
+  std::sort(s.waiting_injections.begin(), s.waiting_injections.end());
 
   s.delivered_count = delivered_count_;
   s.stalled = stalled_;
@@ -124,12 +119,30 @@ void Engine::restore(const EngineSnapshot& snap) {
   for (const auto& [step, id] : snap.injections)
     if (id < 0 || static_cast<std::size_t>(id) >= num_pk)
       format_error("injection references unknown packet");
+  // Every packet still outside the network — pending (at or past the
+  // cursor) or waiting for a full source queue — must be undelivered and
+  // unqueued, and listed once: injecting it would otherwise enqueue a
+  // packet twice or revive a delivered one. Pending entries are consumed
+  // in buffer order, so they must be sorted by step.
+  std::vector<std::uint8_t> outside(num_pk, 0);
+  const auto require_outside = [&](PacketId id, const char* list) {
+    const Packet& pk = snap.packets[static_cast<std::size_t>(id)];
+    if (pk.delivered() || pk.slot >= 0)
+      format_error(std::string(list) + " packet is already in the network");
+    if (outside[static_cast<std::size_t>(id)]++ != 0)
+      format_error(std::string(list) + " packet " + std::to_string(id) +
+                   " is listed twice outside the network");
+  };
+  const auto cursor = static_cast<std::size_t>(snap.injection_cursor);
+  for (std::size_t i = cursor; i < snap.injections.size(); ++i) {
+    if (i > cursor && snap.injections[i].first < snap.injections[i - 1].first)
+      format_error("pending injections are not sorted by step");
+    require_outside(snap.injections[i].second, "pending");
+  }
   for (PacketId id : snap.waiting_injections) {
     if (id < 0 || static_cast<std::size_t>(id) >= num_pk)
       format_error("waiting list references unknown packet");
-    const Packet& pk = snap.packets[static_cast<std::size_t>(id)];
-    if (pk.delivered() || pk.slot >= 0)
-      format_error("waiting packet is already in the network");
+    require_outside(id, "waiting");
   }
 
   // --- adopt primary state ----------------------------------------------
@@ -137,7 +150,6 @@ void Engine::restore(const EngineSnapshot& snap) {
   node_state_ = snap.node_state;
   injections_ = snap.injections;
   injection_cursor_ = static_cast<std::size_t>(snap.injection_cursor);
-  waiting_injections_ = snap.waiting_injections;
   step_ = snap.meta.step;
   delivered_count_ = static_cast<std::size_t>(snap.delivered_count);
   stalled_ = snap.stalled;
@@ -152,7 +164,10 @@ void Engine::restore(const EngineSnapshot& snap) {
   node_packets_.reset(n, node_packets_.stride());
   if (layout_ == QueueLayout::PerInlink) inlink_occ_.assign(n * kNumDirs, 0);
   is_active_.assign(n, 0);
-  active_.clear();
+  for (Shard& sh : shards_) {
+    sh.active.clear();
+    sh.waiting.clear();
+  }
 
   // Replaying the queued packets in (location, slot) order through the
   // slab reproduces every queue in arrival order; push_back returning a
@@ -182,10 +197,16 @@ void Engine::restore(const EngineSnapshot& snap) {
       ++inlink_occ_[inlink_index(pk.location, pk.queue)];
     if (!is_active_[pk.location]) {
       is_active_[pk.location] = 1;
-      active_.push_back(pk.location);
+      shards_[static_cast<std::size_t>(shard_of_node(pk.location))]
+          .active.push_back(pk.location);
     }
   }
-  active_sorted_ = active_.size();  // queued was location-ordered
+  for (Shard& sh : shards_)
+    sh.active_sorted = sh.active.size();  // queued was location-ordered
+  active_cache_valid_ = false;
+  for (PacketId p : snap.waiting_injections)
+    shards_[static_cast<std::size_t>(shard_of_node(packets_[p].source))]
+        .waiting.push_back(p);
   packet_scheduled_.assign(packets_.size(), 0);
 
   // Fault availability is derived state: snapshots carry no fault fields,
@@ -196,8 +217,6 @@ void Engine::restore(const EngineSnapshot& snap) {
   apply_faults(step_);
 
   prepared_ = true;
-  if (num_shards_ > 1) distribute_to_shards();
-  active_cache_valid_ = true;
 }
 
 }  // namespace mr

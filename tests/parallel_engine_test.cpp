@@ -1,5 +1,5 @@
-// Bit-identical equivalence of the sharded parallel engine (DESIGN.md §9)
-// with the sequential engine: per-step fingerprints, digest streams and
+// Bit-identical equivalence of the multi-band step pipeline (DESIGN.md §9)
+// with its one-band case: per-step fingerprints, digest streams and
 // final counters must match for every registered router across shard
 // (tile) counts and thread counts, on the mesh and the torus, including
 // uneven bands (height not divisible by the shard count) and the staggered

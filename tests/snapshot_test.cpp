@@ -7,6 +7,7 @@
 // SnapshotError kinds, never silently.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -210,6 +211,85 @@ TEST(Snapshot, RestoreRejectsMismatchedEngine) {
     } catch (const SnapshotError& e) {
       EXPECT_EQ(e.kind(), SnapshotError::Kind::Mismatch) << e.what();
     }
+  }
+}
+
+TEST(Snapshot, RestoreRejectsInconsistentInjectionState) {
+  // Each edit below survives the wire format (the checksum covers the
+  // edited bytes) and, if restored, breaks the run: a doubly queued packet
+  // trips an invariant check, and a reordered or duplicated pending list
+  // stalls it early with packets undelivered. restore() must reject all of
+  // them up front and leave the engine as it was.
+  const EngineSnapshot good = sample_snapshot("dimension-order", 1);
+  const auto cursor = static_cast<std::size_t>(good.injection_cursor);
+  ASSERT_GE(good.injections.size(), cursor + 2) << "needs two pending entries";
+  PacketId queued = kInvalidPacket;
+  for (const Packet& pk : good.packets)
+    if (!pk.delivered() && pk.slot >= 0) queued = pk.id;
+  ASSERT_NE(queued, kInvalidPacket);
+
+  std::vector<std::pair<std::string, EngineSnapshot>> cases;
+  cases.emplace_back("pending packet already queued", good);
+  cases.back().second.injections[cursor].second = queued;
+  cases.emplace_back("pending entries in reverse order", good);
+  std::reverse(cases.back().second.injections.begin() +
+                   static_cast<std::ptrdiff_t>(cursor),
+               cases.back().second.injections.end());
+  cases.emplace_back("pending id listed twice", good);
+  cases.back().second.injections[cursor + 1].second =
+      good.injections[cursor].second;
+  cases.emplace_back("pending id also waiting", good);
+  cases.back().second.waiting_injections.push_back(
+      good.injections[cursor].second);
+
+  const std::unique_ptr<Topology> topo = make_topology("mesh", kN, kN);
+  Engine engine(*topo, engine_config(1),
+                [] { return make_algorithm("dimension-order"); });
+  engine.restore(good);
+  const std::string state = serialize_snapshot(engine.snapshot());
+  for (const auto& [name, edited] : cases) {
+    SCOPED_TRACE(name);
+    const EngineSnapshot wire = parse_snapshot(serialize_snapshot(edited));
+    try {
+      engine.restore(wire);
+      ADD_FAILURE() << "restore accepted the snapshot";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::Format) << e.what();
+    }
+    EXPECT_EQ(serialize_snapshot(engine.snapshot()), state);
+  }
+  // The rejected restores left nothing behind: the run continues exactly
+  // like a fresh engine restored from the unedited snapshot.
+  Engine fresh(*topo, engine_config(1),
+               [] { return make_algorithm("dimension-order"); });
+  fresh.restore(good);
+  engine.run(kBudget);
+  fresh.run(kBudget);
+  EXPECT_EQ(engine.fingerprint(true), fresh.fingerprint(true));
+  EXPECT_EQ(engine.step(), fresh.step());
+  EXPECT_EQ(engine.delivered_count(), fresh.delivered_count());
+}
+
+TEST(Snapshot, RewindRestoresPeakOccupancy) {
+  // Restoring an earlier snapshot into a running engine rewinds the peak
+  // occupancy too: the next step reports the rewound run's peak, not the
+  // peak the abandoned future reached, on one band and on four.
+  const std::unique_ptr<Topology> topo = make_topology("mesh", kN, kN);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Engine engine(*topo, engine_config(shards),
+                  [] { return make_algorithm("dimension-order"); });
+    for (const Demand& d : staggered_workload(*topo))
+      engine.add_packet(d.source, d.dest, d.injected_at);
+    engine.prepare();
+    const EngineSnapshot start = engine.snapshot();
+    engine.step_once();
+    const int early_peak = engine.max_occupancy_seen();
+    engine.run(kBudget);
+    ASSERT_GT(engine.max_occupancy_seen(), early_peak);
+    engine.restore(start);
+    engine.step_once();
+    EXPECT_EQ(engine.max_occupancy_seen(), early_peak);
   }
 }
 
