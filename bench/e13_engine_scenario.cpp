@@ -1,14 +1,83 @@
-// E13 as a scenario: the engine_bench sweep rendered as a table. Not a
+// E13: engine stepping throughput — every registry router on a random
+// permutation, plus a sequential-vs-sharded determinism table. Not a
 // paper experiment; it establishes that the laptop-scale sweeps in
-// E01–E12 are feasible and tracks regressions in the hot path. The
-// machine-readable BENCH_engine.json record stays with the
-// e13_engine_throughput binary (--json), which shares run_once() with
-// this registration, so its steps/moves stay bit-identical.
-#include "engine_bench.hpp"
+// E01–E12 are feasible. Its machine-readable record is the e13.json that
+// `meshroute_bench --run=E13 --json=DIR` writes; the performance record
+// is perfbench (BENCHMARK.json).
+#include <chrono>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "routing/registry.hpp"
 #include "scenarios.hpp"
+#include "sim/engine.hpp"
+#include "topo/mesh.hpp"
+#include "workload/permutation.hpp"
 
 namespace mr::scenarios {
+namespace {
+
+constexpr int kQueueCapacity = 2;
+
+struct RunStats {
+  std::string router;
+  std::string layout;
+  std::int32_t n = 0;
+  std::int64_t steps = 0;
+  std::int64_t moves = 0;
+  double moves_per_sec = 0;
+  std::size_t delivered = 0;
+  std::size_t packets = 0;
+  bool stalled = false;
+};
+
+/// Central-queue routers get monotone (deadlock-free) traffic so the sweep
+/// measures engine throughput, not deadlock spinning; the per-inlink
+/// router takes the full permutation.
+Workload workload_for(const Mesh& mesh, bool per_inlink) {
+  Workload w;
+  for (const Demand& d : random_permutation(mesh, 42)) {
+    const Coord s = mesh.coord_of(d.source);
+    const Coord t = mesh.coord_of(d.dest);
+    if (per_inlink || (t.col >= s.col && t.row >= s.row)) w.push_back(d);
+  }
+  return w;
+}
+
+/// One timed engine run of `name` on an n×n mesh with `shards` row bands
+/// on as many threads, for `max_steps` steps (0 = drain). Sharded runs
+/// produce bit-identical routing results; only the wall clock changes.
+RunStats run_once(const std::string& name, std::int32_t n, int shards = 1,
+                  std::int64_t max_steps = 0) {
+  const Mesh mesh = Mesh::square(n);
+  const bool per_inlink =
+      make_algorithm(name)->queue_layout() == QueueLayout::PerInlink;
+  RunStats r;
+  r.router = name;
+  r.layout = per_inlink ? "per-inlink" : "central";
+  r.n = n;
+  Engine::Config config;
+  config.queue_capacity = kQueueCapacity;
+  config.shards = shards;
+  config.threads = shards;
+  Engine engine(mesh, config, [&] { return make_algorithm(name); });
+  for (const Demand& d : workload_for(mesh, per_inlink))
+    engine.add_packet(d.source, d.dest, d.injected_at);
+  engine.prepare();
+  const auto t0 = std::chrono::steady_clock::now();
+  r.steps = engine.run(max_steps > 0 ? max_steps : 200000);
+  const auto t1 = std::chrono::steady_clock::now();
+  const double seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.moves = engine.total_moves();
+  r.moves_per_sec = seconds > 0 ? static_cast<double>(r.moves) / seconds : 0;
+  r.delivered = engine.delivered_count();
+  r.packets = engine.num_packets();
+  r.stalled = engine.stalled();
+  return r;
+}
+
+}  // namespace
 
 void register_e13(ScenarioRegistry& registry) {
   ScenarioSpec spec;
@@ -29,9 +98,9 @@ void register_e13(ScenarioRegistry& registry) {
     bool all_delivered = true;
     for (const std::string& name : algorithm_names()) {
       for (std::int32_t n : sizes) {
-        engine_bench::RunStats best;
+        RunStats best;
         for (int rep = 0; rep < reps; ++rep) {
-          engine_bench::RunStats r = engine_bench::run_once(name, n);
+          RunStats r = run_once(name, n);
           if (rep == 0 || r.moves_per_sec > best.moves_per_sec) best = r;
         }
         none_stalled = none_stalled && !best.stalled;
@@ -49,13 +118,11 @@ void register_e13(ScenarioRegistry& registry) {
       }
     }
     ctx.table(table);
-    ctx.note(
-        "Same run_once() sweep as `e13_engine_throughput --json` (queue "
-        "capacity " +
-        std::to_string(engine_bench::kQueueCapacity) +
-        ", best of " + std::to_string(reps) +
-        "); only Kmoves/s is timing-sensitive — steps and moves are "
-        "deterministic.");
+    ctx.note("Queue capacity " + std::to_string(kQueueCapacity) +
+             ", best of " + std::to_string(reps) +
+             "; only Kmoves/s is timing-sensitive — steps and moves are "
+             "deterministic. Engine performance is tracked by perfbench "
+             "(BENCHMARK.json), not by this table.");
     ctx.check("no-router-stalled", none_stalled);
     ctx.check("monotone-traffic-all-delivered", all_delivered);
 
@@ -66,8 +133,7 @@ void register_e13(ScenarioRegistry& registry) {
     // checked.
     const std::int32_t pn = smoke ? 8 : 120;
     const std::int64_t budget = smoke ? 0 : 64;
-    const engine_bench::RunStats seq = engine_bench::run_once(
-        "bounded-dimension-order", pn, 1, 1, budget);
+    const RunStats seq = run_once("bounded-dimension-order", pn, 1, budget);
     Table ptable({"mode", "steps", "moves", "delivered", "Kmoves/s"});
     ptable.row()
         .add("sequential")
@@ -77,8 +143,8 @@ void register_e13(ScenarioRegistry& registry) {
         .add(seq.moves_per_sec / 1e3, 2);
     bool par_identical = true;
     for (const int shards : {4, 8}) {
-      const engine_bench::RunStats par = engine_bench::run_once(
-          "bounded-dimension-order", pn, shards, shards, budget);
+      const RunStats par =
+          run_once("bounded-dimension-order", pn, shards, budget);
       par_identical = par_identical && par.steps == seq.steps &&
                       par.moves == seq.moves &&
                       par.delivered == seq.delivered;

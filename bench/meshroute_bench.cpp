@@ -50,10 +50,6 @@
 //   meshroute_bench --validate=PATH        only validate an existing JSON
 //                                          record (scenario .json or
 //                                          telemetry .jsonl)
-//   meshroute_bench --throughput-guard=P   only re-run the engine sweep and
-//                                          fail if moves/s regresses >25%
-//                                          against the BENCH_engine.json at
-//                                          P (tolerance: MESHROUTE_GUARD_TOL)
 //   meshroute_bench --fuzz=N               run N differential-fuzz cases
 //                                          (optimized engine vs naive
 //                                          reference, invariant oracles on);
@@ -66,17 +62,18 @@
 // Markdown goes to stdout exactly as the historical per-experiment
 // binaries printed it; check verdicts follow each report as "[check]"
 // lines. Exit code is 0 iff every selected scenario ran without error and
-// every check passed. CSV export of each table still honours
-// MESHROUTE_OUTPUT_DIR.
+// every check passed; a malformed command line (numeric flags take
+// decimal digits only) prints the usage line and exits 2. CSV export of
+// each table still honours MESHROUTE_OUTPUT_DIR.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.hpp"
-#include "engine_bench.hpp"
 #include "harness/scenario.hpp"
 #include "routing/registry.hpp"
 #include "scenarios.hpp"
@@ -93,10 +90,26 @@ int usage(const char* argv0) {
                "[--seed=S] [--engine-shards=S] [--engine-threads=T] "
                "[--topology=NAME] [--faults=SPEC] [--adversary] "
                "[--resume=DIR] [--checkpoint-every=N] "
-               "[--validate=PATH] [--throughput-guard=PATH] "
+               "[--validate=PATH] "
                "[--fuzz=N] [--fuzz-seed=S] [--fuzz-case=SPEC]\n",
                argv0);
   return 2;
+}
+
+// Parses all of `text` as a decimal integer no smaller than `min` that
+// fits in T; false for anything else (sign, blanks, trailing characters,
+// overflow).
+template <typename T>
+bool parse_number(const std::string& text, T min, T* out) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  T value{};
+  const auto result =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (result.ec != std::errc() || value < min) return false;
+  *out = value;
+  return true;
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -133,39 +146,35 @@ int main(int argc, char** argv) {
       options.telemetry_dir = arg.substr(12);
     } else if (arg == "--profile") {
       options.profile = true;
-    } else if (arg.rfind("--throughput-guard=", 0) == 0) {
-      return engine_bench::throughput_guard(arg.substr(19));
     } else if (arg.rfind("--fuzz=", 0) == 0) {
-      fuzz_cases = static_cast<std::size_t>(
-          std::strtoul(arg.substr(7).c_str(), nullptr, 10));
-      if (fuzz_cases == 0) return usage(argv[0]);
+      if (!parse_number(arg.substr(7), std::size_t{1}, &fuzz_cases))
+        return usage(argv[0]);
     } else if (arg.rfind("--fuzz-seed=", 0) == 0) {
-      fuzz_seed = std::strtoull(arg.substr(12).c_str(), nullptr, 10);
+      if (!parse_number(arg.substr(12), std::uint64_t{0}, &fuzz_seed))
+        return usage(argv[0]);
     } else if (arg.rfind("--fuzz-case=", 0) == 0) {
       fuzz_case_spec = arg.substr(12);
     } else if (arg == "--smoke") {
       options.scale = Scale::Small;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.substr(7).c_str(), nullptr, 10);
-      if (options.seed == 0) return usage(argv[0]);
+      if (!parse_number(arg.substr(7), std::uint64_t{1}, &options.seed))
+        return usage(argv[0]);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = static_cast<std::size_t>(
-          std::strtoul(arg.substr(7).c_str(), nullptr, 10));
+      if (!parse_number(arg.substr(7), std::size_t{0}, &options.jobs))
+        return usage(argv[0]);
     } else if (arg.rfind("--engine-shards=", 0) == 0) {
-      options.engine_shards =
-          static_cast<int>(std::strtol(arg.substr(16).c_str(), nullptr, 10));
-      if (options.engine_shards < 1) return usage(argv[0]);
+      if (!parse_number(arg.substr(16), 1, &options.engine_shards))
+        return usage(argv[0]);
     } else if (arg.rfind("--engine-threads=", 0) == 0) {
-      options.engine_threads =
-          static_cast<int>(std::strtol(arg.substr(17).c_str(), nullptr, 10));
-      if (options.engine_threads < 1) return usage(argv[0]);
+      if (!parse_number(arg.substr(17), 1, &options.engine_threads))
+        return usage(argv[0]);
     } else if (arg.rfind("--resume=", 0) == 0) {
       options.checkpoint_dir = arg.substr(9);
       if (options.checkpoint_dir.empty()) return usage(argv[0]);
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      options.checkpoint_every =
-          static_cast<mr::Step>(std::strtol(arg.substr(19).c_str(), nullptr, 10));
-      if (options.checkpoint_every < 1) return usage(argv[0]);
+      if (!parse_number(arg.substr(19), mr::Step{1},
+                        &options.checkpoint_every))
+        return usage(argv[0]);
     } else if (arg.rfind("--topology=", 0) == 0) {
       options.topology = arg.substr(11);
       if (!known_topology(options.topology)) {

@@ -63,7 +63,7 @@ struct EngineRun {
 };
 
 /// monotone: keep only down-right demands — central-queue routers can
-/// deadlock on full random permutations (cf. engine_bench::workload_for),
+/// deadlock on full random permutations (as in E13's workload_for()),
 /// so tests that assert delivery use the deadlock-free subset.
 EngineRun make_run(const std::string& router, std::int32_t n, bool torus,
                    int k, std::uint64_t seed, bool monotone = false) {
