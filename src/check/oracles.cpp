@@ -277,6 +277,7 @@ void DigestHasher::mix(const StepDigest& d) {
     mix64(static_cast<std::uint64_t>(p));
   mix64(static_cast<std::uint64_t>(d.deliveries));
   mix64(static_cast<std::uint64_t>(d.injections));
+  mix64(static_cast<std::uint64_t>(d.injections_waiting));
   for (std::int64_t c : d.moves_by_dir) mix64(static_cast<std::uint64_t>(c));
   mix64(static_cast<std::uint64_t>(d.exchanges));
   mix64(static_cast<std::uint64_t>(d.stall_run));

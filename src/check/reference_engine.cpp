@@ -78,6 +78,7 @@ void ReferenceEngine::inject_due_packets() {
   // Every undelivered packet that is not in the network and whose
   // injection step has come — equivalently the engine's waiting list plus
   // the newly due packets — offered in ascending PacketId order.
+  injections_waiting_ = 0;
   for (std::size_t id = 0; id < packets_.size(); ++id) {
     Packet& pk = packets_[id];
     if (pk.delivered() || pk.location != kInvalidNode ||
@@ -85,7 +86,7 @@ void ReferenceEngine::inject_due_packets() {
       continue;
     }
     // A down source defers injection entirely — even source == dest
-    // deliveries (mirror of Engine::inject_packet_list).
+    // deliveries (mirror of Engine::inject_band).
     if (!node_available(pk.source)) {
       ++fault_deferred_this_step_;
       continue;
@@ -103,7 +104,10 @@ void ReferenceEngine::inject_due_packets() {
     const int used = layout_ == QueueLayout::Central
                          ? occupancy(pk.source)
                          : occupancy(pk.source, tag);
-    if (used >= queue_capacity_) continue;  // §5: wait outside the network
+    if (used >= queue_capacity_) {  // §5: wait outside the network
+      ++injections_waiting_;
+      continue;
+    }
     place_packet(static_cast<PacketId>(id), pk.source, tag);
     pk.arrival_inlink = kNoInlink;
     ++injected_this_step_;
@@ -126,6 +130,7 @@ void ReferenceEngine::prepare() {
     digest.injected_deliveries = injected_deliveries_;
     digest.deliveries = static_cast<std::int64_t>(injected_deliveries_.size());
     digest.injections = injected_this_step_;
+    digest.injections_waiting = injections_waiting_;
     for (StepObserver* ob : observers_) ob->on_prepare(*this, digest);
   }
 }
@@ -351,6 +356,7 @@ bool ReferenceEngine::step_once() {
     digest.deliveries = static_cast<std::int64_t>(deliveries.size() +
                                                   injected_deliveries_.size());
     digest.injections = injected_this_step_;
+    digest.injections_waiting = injections_waiting_;
     for (const MoveRecord& m : digest_moves)
       ++digest.moves_by_dir[dir_index(m.dir)];
     digest.exchanges =

@@ -73,6 +73,8 @@ class ReferenceEngine : public Sim {
   bool prepared_ = false;
   Step stall_run_ = 0;
   std::int64_t injected_this_step_ = 0;
+  /// Packets the last injection left outside for a full source queue.
+  std::int64_t injections_waiting_ = 0;
 
   /// Rebuilt from scratch (full node scan) after every step.
   std::vector<NodeId> active_;

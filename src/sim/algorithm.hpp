@@ -141,6 +141,9 @@ struct StepDigest {
   // cheap consumers never touch the records).
   std::int64_t deliveries = 0;  ///< total deliveries incl. injected ones
   std::int64_t injections = 0;  ///< successful entries incl. injected deliveries
+  /// Packets left outside the network by this step's injection because
+  /// their source queue was full (fault-deferred ones not included).
+  std::int64_t injections_waiting = 0;
   std::array<std::int64_t, kNumDirs> moves_by_dir{};  ///< link utilisation
   std::int64_t exchanges = 0;   ///< adversary exchanges during phase (b)
   Step stall_run = 0;  ///< consecutive no-progress steps including this one

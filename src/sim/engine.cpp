@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -193,18 +194,25 @@ void Engine::remove_from_node(PacketId p) {
 }
 
 void Engine::stage_injections() {
-  // Re-offer packets that were due earlier but found a full queue, then
-  // newly due packets; inject_band sorts them into id order.
+  std::size_t end = injection_cursor_;
+  while (end < injections_.size() && injections_[end].first <= step_) ++end;
+  // Size each band's list before filling it: a batch run stages every
+  // packet at prepare(), and growing the records by doubling would leave
+  // up to twice the memory they need.
+  for (Shard& sh : shards_) sh.staged = 0;
+  for (std::size_t i = injection_cursor_; i < end; ++i)
+    ++shards_[static_cast<std::size_t>(
+                  shard_of_node(packets_[injections_[i].second].source))]
+          .staged;
   for (Shard& sh : shards_) {
     sh.due.clear();
-    sh.due.swap(sh.waiting);
+    sh.due.reserve(sh.staged);
   }
-  while (injection_cursor_ < injections_.size() &&
-         injections_[injection_cursor_].first <= step_) {
+  for (; injection_cursor_ < end; ++injection_cursor_) {
     const PacketId p = injections_[injection_cursor_].second;
-    shards_[static_cast<std::size_t>(shard_of_node(packets_[p].source))]
-        .due.push_back(p);
-    ++injection_cursor_;
+    const Packet& pk = packets_[p];
+    shards_[static_cast<std::size_t>(shard_of_node(pk.source))].due.push_back(
+        WaitingInjection{pk.source, p, injection_queue_tag(pk.source, pk.dest)});
   }
 }
 
@@ -217,44 +225,67 @@ void Engine::inject_band(Shard& sh, bool observed) {
   sh.fault_deferred = 0;
   sh.max_occupancy = 0;
   sh.injected_deliveries.clear();
-  std::sort(sh.due.begin(), sh.due.end());
-  for (PacketId p : sh.due) {
-    Packet& pk = packets_[p];
+  if (sh.due.empty() && sh.waiting.empty()) return;
+  if (!sh.due.empty()) {
+    // Due packets are staged in id order, which traffic sources and
+    // permutations emit source by source, so this is usually sorted already.
+    if (!std::is_sorted(sh.due.begin(), sh.due.end()))
+      std::sort(sh.due.begin(), sh.due.end());
+    if (sh.waiting.empty()) {
+      sh.waiting.swap(sh.due);
+    } else {
+      sh.merged.clear();
+      std::merge(sh.waiting.begin(), sh.waiting.end(), sh.due.begin(),
+                 sh.due.end(), std::back_inserter(sh.merged));
+      sh.waiting.swap(sh.merged);
+    }
+  }
+  // One pass in (source, id) order, compacting the packets that stay
+  // outside in place. It reads only the records and the occupancy
+  // counters; packet records are touched only for packets that enter.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < sh.waiting.size(); ++i) {
+    const WaitingInjection w = sh.waiting[i];
     // A down source defers injection entirely — even source == dest
     // deliveries, which model an ejection at the (dead) node.
-    if (!node_available(pk.source)) {
-      sh.waiting.push_back(p);
+    if (!node_available(w.source)) {
+      sh.waiting[kept++] = w;
       ++sh.fault_deferred;
       continue;
     }
-    if (pk.source == pk.dest) {
-      pk.delivered_at = step_;
+    if (w.tag == kSelfDelivery) {
+      packets_[w.id].delivered_at = step_;
       ++sh.delivered;
       ++sh.injected;
-      if (observed) sh.injected_deliveries.push_back(p);
+      if (observed) sh.injected_deliveries.push_back(w.id);
       continue;
     }
-    const QueueTag tag = layout_ == QueueLayout::Central
-                             ? kCentralQueue
-                             : injection_queue_tag(p);
     const int used = layout_ == QueueLayout::Central
-                         ? occupancy(pk.source)
-                         : occupancy(pk.source, tag);
+                         ? occupancy(w.source)
+                         : inlink_occ_[inlink_index(w.source, w.tag)];
     if (used >= queue_capacity_) {
-      sh.waiting.push_back(p);  // §5: wait outside the network
+      sh.waiting[kept++] = w;  // §5: wait outside the network
       continue;
     }
-    place_packet(p, pk.source, tag, sh.active);
-    pk.arrival_inlink = kNoInlink;
+    place_packet(w.id, w.source, w.tag, sh.active);
+    packets_[w.id].arrival_inlink = kNoInlink;
     ++sh.injected;
-    record_occupancy(pk.source, sh.max_occupancy);
+    record_occupancy(w.source, sh.max_occupancy);
   }
+  sh.waiting.resize(kept);
   // Merge the newly activated nodes into the sorted prefix.
   const auto mid =
       sh.active.begin() + static_cast<std::ptrdiff_t>(sh.active_sorted);
   std::sort(mid, sh.active.end());
   std::inplace_merge(sh.active.begin(), mid, sh.active.end());
   sh.active_sorted = sh.active.size();
+}
+
+std::int64_t Engine::injections_waiting() const {
+  std::int64_t waiting = 0;
+  for (const Shard& sh : shards_)
+    waiting += static_cast<std::int64_t>(sh.waiting.size()) - sh.fault_deferred;
+  return waiting;
 }
 
 void Engine::filter_faulted_moves(std::vector<ScheduledMove>& moves,
@@ -326,14 +357,15 @@ std::int64_t Engine::fold_band_counters() {
   return moved;
 }
 
-QueueTag Engine::injection_queue_tag(PacketId p) const {
+QueueTag Engine::injection_queue_tag(NodeId source, NodeId dest) const {
   // A freshly injected packet joins the inlink queue it would have arrived
   // on had it been travelling already: the queue opposite one of its
   // profitable directions. Row movement is preferred so that dimension-order
   // routers see row packets in E/W queues. Uses only profitable directions,
   // hence destination-exchangeable-safe.
-  const Packet& pk = packets_[p];
-  const DirMask m = topo_->profitable_dirs(pk.source, pk.dest);
+  if (source == dest) return kSelfDelivery;
+  if (layout_ == QueueLayout::Central) return kCentralQueue;
+  const DirMask m = topo_->profitable_dirs(source, dest);
   for (Dir d : {Dir::East, Dir::West, Dir::North, Dir::South})
     if (mask_has(m, d)) return static_cast<QueueTag>(dir_index(opposite(d)));
   return static_cast<QueueTag>(dir_index(Dir::South));
@@ -360,6 +392,7 @@ void Engine::prepare() {
     digest.injected_deliveries = injected_deliveries_;
     digest.deliveries = static_cast<std::int64_t>(injected_deliveries_.size());
     digest.injections = injected_this_step_;
+    digest.injections_waiting = injections_waiting();
     for (StepObserver* ob : observers_) ob->on_prepare(*this, digest);
   }
 }
@@ -683,6 +716,7 @@ bool Engine::step_once() {
     digest.deliveries =
         static_cast<std::int64_t>(delivered_count_ - delivered_before);
     digest.injections = injected_this_step_;
+    digest.injections_waiting = injections_waiting();
     for (const MoveRecord& m : digest_moves_)
       ++digest.moves_by_dir[dir_index(m.dir)];
     digest.exchanges =
@@ -732,8 +766,19 @@ void Engine::exchange_destinations(PacketId a, PacketId b) {
   std::swap(packets_[a].dest, packets_[b].dest);
   for (PacketId p : {a, b}) {
     Packet& pk = packets_[p];
-    if (pk.location != kInvalidNode)
+    if (pk.location != kInvalidNode) {
       pk.profitable = topo_->profitable_dirs(pk.location, pk.dest);
+      continue;
+    }
+    // A packet waiting outside the network keeps its injection queue in its
+    // waiting record; a new destination may change it. Packets not yet due
+    // have no record: theirs is computed when they become due.
+    std::vector<WaitingInjection>& waiting =
+        shards_[static_cast<std::size_t>(shard_of_node(pk.source))].waiting;
+    const WaitingInjection key{pk.source, p, 0};
+    const auto it = std::lower_bound(waiting.begin(), waiting.end(), key);
+    if (it != waiting.end() && it->id == p)
+      it->tag = injection_queue_tag(pk.source, pk.dest);
   }
   ++exchange_count_;
 }

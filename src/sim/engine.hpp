@@ -26,12 +26,14 @@
 // for every shards/threads combination. Phase (b) runs on the
 // coordinator, which is why a StepInterceptor requires one band.
 //
-// Per-step cost is O(active nodes + moves): queue occupancy is maintained
-// as incremental counters, packets carry their queue-slot index and cached
-// profitable mask, each band's active-node list stays sorted by merging
-// newly activated nodes instead of re-sorting, and offers are grouped by
-// receiving node via a 4-way merge of the per-direction move streams
-// instead of a comparison sort.
+// Per-step cost is O(active nodes + moves + waiting + due·log due), where
+// `waiting` counts the packets outside the network for a full source queue
+// and `due` those whose injection step has just come: queue occupancy is
+// maintained as incremental counters, packets carry their queue-slot index
+// and cached profitable mask, each band's active-node list and injection
+// waiting list stay sorted by merging newly added entries instead of
+// re-sorting, and offers are grouped by receiving node via a 4-way merge of
+// the per-direction move streams instead of a comparison sort.
 //
 // Observation is digest-based: the engine batches each step's moves,
 // deliveries and counters into one StepDigest and dispatches a single
@@ -232,6 +234,24 @@ class Engine : public Sim {
   void exchange_destinations(PacketId a, PacketId b) override;
 
  private:
+  /// A packet whose injection step has come but which is still outside the
+  /// network: its source, its id and the queue it joins there, computed
+  /// once when it becomes due (and again if phase (b) exchanges its
+  /// destination). Ordered by (source, id): a node's queue receives its
+  /// injected packets in id order, and nothing else about the order of
+  /// injection is observable.
+  struct WaitingInjection {
+    NodeId source;
+    PacketId id;
+    QueueTag tag;  ///< kSelfDelivery when source == dest
+
+    bool operator<(const WaitingInjection& o) const {
+      return source != o.source ? source < o.source : id < o.id;
+    }
+  };
+  /// WaitingInjection::tag of a packet delivered at its source.
+  static constexpr QueueTag kSelfDelivery = 0xFE;
+
   /// One row band of the step pipeline: bands own contiguous NodeId
   /// ranges (row-major ids), so per-band sorted lists concatenate to
   /// globally sorted lists — the property the deterministic handoff
@@ -251,10 +271,13 @@ class Engine : public Sim {
     std::vector<NodeId> active;
     std::size_t active_sorted = 0;
 
-    // Injection: packets due earlier whose source queue was full, and the
-    // per-step staging list (waiting + newly due, sorted by id).
-    std::vector<PacketId> waiting;
-    std::vector<PacketId> due;
+    // Injection: records of the packets the coordinator staged as newly
+    // due this step, and of the band's packets outside the network (§5),
+    // sorted by (source, id); `merged` is scratch for merging the two.
+    std::vector<WaitingInjection> due;
+    std::vector<WaitingInjection> waiting;
+    std::vector<WaitingInjection> merged;
+    std::size_t staged = 0;  ///< stage_injections' count for `due`
     std::vector<PacketId> injected_deliveries;
 
     // Phase (a) output, classified after phase (b). Offers that stay in
@@ -301,7 +324,9 @@ class Engine : public Sim {
   void check_capacity_after_transmit(NodeId v);
   void record_occupancy(NodeId u, int& peak);
   QueueTag arrival_tag(Dir travel_dir) const;
-  QueueTag injection_queue_tag(PacketId p) const;
+  /// The queue a packet from `source` to `dest` joins when injected:
+  /// kCentralQueue, an inlink queue, or kSelfDelivery when source == dest.
+  QueueTag injection_queue_tag(NodeId source, NodeId dest) const;
   std::size_t inlink_index(NodeId u, QueueTag tag) const {
     return static_cast<std::size_t>(u) * kNumDirs + tag;
   }
@@ -319,12 +344,16 @@ class Engine : public Sim {
   /// Shared constructor tail: validates the config, sizes the per-node
   /// state, carves the row bands and creates the worker pool.
   void init_engine(const Config& config);
-  /// Coordinator: hands every packet due this step to its source band,
-  /// where it joins the band's waiting list in `due`.
+  /// Coordinator: hands a record of every packet due this step to its
+  /// source band's `due` list.
   void stage_injections();
-  /// Resets the band's per-step counters, injects its due packets (in id
-  /// order) into their source queues and merges the band's active list.
+  /// Resets the band's per-step counters, merges its newly due packets into
+  /// the waiting list, injects every waiting packet whose source queue has
+  /// room (in (source, id) order) and merges the band's active list.
   void inject_band(Shard& sh, bool observed);
+  /// Packets of all bands left waiting for a full source queue by this
+  /// step's injection, fault-deferred ones excluded.
+  std::int64_t injections_waiting() const;
   /// Drops scheduled moves over unavailable links (down link, down
   /// endpoint) in place, counting them into `blocked`. No-op unless a
   /// fault is active. Runs after phase (a) — before the adversary and the
@@ -376,8 +405,8 @@ class Engine : public Sim {
   std::vector<NodeId> neighbor_tab_;
 
   // injection buffer: (step, packet) sorted ascending; cursor advances.
-  // Packets due earlier whose source queue was full wait in their band's
-  // Shard::waiting list.
+  // Packets due earlier whose source queue was full (or whose source is
+  // down) wait in their band's Shard::waiting list.
   std::vector<std::pair<Step, PacketId>> injections_;
   std::size_t injection_cursor_ = 0;
 

@@ -56,13 +56,12 @@ EngineSnapshot Engine::snapshot() const {
   s.node_state = node_state_;
   s.injections = injections_;
   s.injection_cursor = injection_cursor_;
-  // Packets waiting for a full source queue sit in their band's list;
-  // concatenate and re-sort by id. Each band list is id-sorted (built by
-  // id-ordered injection), so the sort only undoes the partition and
-  // restore's re-partition reproduces the band lists exactly.
+  // Packets waiting outside the network sit in their band's list, sorted
+  // by (source, id); the snapshot carries their ids ascending, and restore
+  // rebuilds the records from the packets.
   for (const Shard& sh : shards_)
-    s.waiting_injections.insert(s.waiting_injections.end(), sh.waiting.begin(),
-                                sh.waiting.end());
+    for (const WaitingInjection& w : sh.waiting)
+      s.waiting_injections.push_back(w.id);
   std::sort(s.waiting_injections.begin(), s.waiting_injections.end());
 
   s.delivered_count = delivered_count_;
@@ -139,9 +138,12 @@ void Engine::restore(const EngineSnapshot& snap) {
       format_error("pending injections are not sorted by step");
     require_outside(snap.injections[i].second, "pending");
   }
-  for (PacketId id : snap.waiting_injections) {
+  for (std::size_t i = 0; i < snap.waiting_injections.size(); ++i) {
+    const PacketId id = snap.waiting_injections[i];
     if (id < 0 || static_cast<std::size_t>(id) >= num_pk)
       format_error("waiting list references unknown packet");
+    if (i > 0 && id <= snap.waiting_injections[i - 1])
+      format_error("waiting injections are not in ascending id order");
     require_outside(id, "waiting");
   }
 
@@ -204,9 +206,13 @@ void Engine::restore(const EngineSnapshot& snap) {
   for (Shard& sh : shards_)
     sh.active_sorted = sh.active.size();  // queued was location-ordered
   active_cache_valid_ = false;
-  for (PacketId p : snap.waiting_injections)
-    shards_[static_cast<std::size_t>(shard_of_node(packets_[p].source))]
-        .waiting.push_back(p);
+  for (PacketId p : snap.waiting_injections) {
+    const Packet& pk = packets_[p];
+    shards_[static_cast<std::size_t>(shard_of_node(pk.source))]
+        .waiting.push_back(WaitingInjection{
+            pk.source, p, injection_queue_tag(pk.source, pk.dest)});
+  }
+  for (Shard& sh : shards_) std::sort(sh.waiting.begin(), sh.waiting.end());
   packet_scheduled_.assign(packets_.size(), 0);
 
   // Fault availability is derived state: snapshots carry no fault fields,

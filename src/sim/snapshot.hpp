@@ -87,7 +87,9 @@ struct EngineSnapshot {
   /// Injection buffer: (step, packet) ascending, with the consumed prefix.
   std::vector<std::pair<Step, PacketId>> injections;
   std::uint64_t injection_cursor = 0;
-  /// Packets due at or before meta.step whose source queue was full.
+  /// Packets due at or before meta.step whose source queue was full (or
+  /// whose source was down), strictly ascending by id; restore() rejects
+  /// any other order.
   std::vector<PacketId> waiting_injections;
 
   std::uint64_t delivered_count = 0;

@@ -1,16 +1,122 @@
 // Dynamic injection semantics (§5's h-h discussion): packets appear at
 // their source at the start of their injection step, wait outside the
 // network while the queue is full, re-enter in deterministic (id) order,
-// and never depend on destination addresses for their timing.
+// and never depend on destination addresses for their timing. The
+// injection-order cases run in lock-step with the ReferenceEngine, which
+// offers every outside packet in global id order each step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "check/oracles.hpp"
+#include "check/reference_engine.hpp"
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault.hpp"
 #include "topo/mesh.hpp"
 #include "workload/permutation.hpp"
 
 namespace mr {
 namespace {
+
+/// Records StepDigest::injections_waiting, prepare() included.
+class WaitingLog final : public StepObserver {
+ public:
+  void on_prepare(const Sim&, const StepDigest& d) override {
+    waiting.push_back(d.injections_waiting);
+  }
+  void on_step(const Sim&, const StepDigest& d) override {
+    waiting.push_back(d.injections_waiting);
+  }
+  std::vector<std::int64_t> waiting;
+};
+
+/// Phase (b) hook exchanging the destinations of fixed packet pairs at
+/// one step.
+class ExchangeAt final : public StepInterceptor {
+ public:
+  ExchangeAt(Step step, std::vector<std::pair<PacketId, PacketId>> pairs)
+      : step_(step), pairs_(std::move(pairs)) {}
+  void after_schedule(Sim& e, std::span<const ScheduledMove>) override {
+    if (e.step() != step_) return;
+    for (const auto& [a, b] : pairs_) e.exchange_destinations(a, b);
+  }
+
+ private:
+  Step step_;
+  std::vector<std::pair<PacketId, PacketId>> pairs_;
+};
+
+struct LockstepOptions {
+  std::string faults;  ///< fault schedule grammar; empty for none
+  /// Sees the engine after prepare() and after each step.
+  std::function<void(const Engine&)> inspect;
+  /// Destination exchanges in phase (b) of `exchange_step`.
+  Step exchange_step = 0;
+  std::vector<std::pair<PacketId, PacketId>> exchanges;
+};
+
+/// Runs the Engine and the ReferenceEngine side by side on `demands` and
+/// requires equal fingerprints and digest streams after prepare() and after
+/// every step. Returns the engine's per-step injections_waiting.
+std::vector<std::int64_t> expect_lockstep(const Mesh& mesh,
+                                          const std::string& router, int k,
+                                          const Workload& demands,
+                                          const LockstepOptions& options = {}) {
+  auto algo_opt = make_algorithm(router);
+  auto algo_ref = make_algorithm(router);
+  Engine::Config config;
+  config.queue_capacity = k;
+  config.stall_limit = 64;
+  Engine opt(mesh, config, *algo_opt);
+  ReferenceEngine ref(mesh, k, config.stall_limit, *algo_ref);
+  if (!options.faults.empty()) {
+    FaultSchedule schedule;
+    std::string error;
+    EXPECT_TRUE(parse_fault_schedule(options.faults, &schedule, &error))
+        << error;
+    opt.set_fault_schedule(schedule);
+    ref.set_fault_schedule(schedule);
+  }
+  ExchangeAt hook_opt(options.exchange_step, options.exchanges);
+  ExchangeAt hook_ref(options.exchange_step, options.exchanges);
+  if (!options.exchanges.empty()) {
+    opt.set_interceptor(&hook_opt);
+    ref.set_interceptor(&hook_ref);
+  }
+  DigestHasher hash_opt, hash_ref;
+  WaitingLog log_opt, log_ref;
+  opt.add_observer(&hash_opt);
+  opt.add_observer(&log_opt);
+  ref.add_observer(&hash_ref);
+  ref.add_observer(&log_ref);
+  for (const Demand& d : demands) {
+    opt.add_packet(d.source, d.dest, d.injected_at);
+    ref.add_packet(d.source, d.dest, d.injected_at);
+  }
+  opt.prepare();
+  ref.prepare();
+  EXPECT_EQ(opt.fingerprint(), ref.fingerprint()) << "prepare() diverged";
+  if (options.inspect) options.inspect(opt);
+  while (opt.step() < 512) {
+    const bool more = opt.step_once();
+    EXPECT_EQ(more, ref.step_once()) << "drain diverged at step " << opt.step();
+    if (!more) break;
+    EXPECT_EQ(opt.fingerprint(), ref.fingerprint())
+        << "fingerprint diverged at step " << opt.step();
+    EXPECT_EQ(hash_opt.hash(), hash_ref.hash())
+        << "digest stream diverged at step " << opt.step();
+    if (options.inspect) options.inspect(opt);
+  }
+  EXPECT_TRUE(opt.all_delivered());
+  EXPECT_EQ(log_opt.waiting, log_ref.waiting);
+  return log_opt.waiting;
+}
 
 TEST(DynamicInjection, FifoAmongWaiters) {
   // k = 1, three packets at one source: they enter in id order as the
@@ -134,6 +240,136 @@ TEST(DynamicInjection, TimingIsDestinationIndependent) {
   const NodeId x = mesh.id_of(6, 7);
   const NodeId y = mesh.id_of(7, 6);
   EXPECT_EQ(run_arrival_steps(x, y), run_arrival_steps(y, x));
+}
+
+TEST(DynamicInjection, PerInlinkSlabOrderIsIdOrderAcrossQueues) {
+  // Two sources, each with packets for two inlink queues (row movement
+  // joins an East/West inlink queue, column movement a North/South one),
+  // with ids interleaved across the queues and across the sources.
+  // Injection runs source by source, yet each source's slab must receive
+  // its packets in id order. No other packet passes through a or b, so
+  // their slabs stay id-sorted for the whole run.
+  const Mesh mesh = Mesh::square(8);
+  const NodeId a = mesh.id_of(1, 1);
+  const NodeId b = mesh.id_of(2, 5);
+  Workload w;
+  for (int i = 0; i < 4; ++i) {
+    w.push_back(Demand{b, mesh.id_of(7, 5)});  // row queue at b
+    w.push_back(Demand{a, mesh.id_of(6, 1)});  // row queue at a
+    w.push_back(Demand{b, mesh.id_of(2, 0)});  // column queue at b
+    w.push_back(Demand{a, mesh.id_of(1, 7)});  // column queue at a
+  }
+  const auto slab = [](const Engine& e, NodeId u) {
+    const std::span<const PacketId> q = e.packets_at(u);
+    return std::vector<PacketId>(q.begin(), q.end());
+  };
+  bool checked_prepare = false;
+  LockstepOptions options;
+  options.inspect = [&](const Engine& e) {
+    for (NodeId u : {a, b}) {
+      const std::vector<PacketId> q = slab(e, u);
+      EXPECT_TRUE(std::is_sorted(q.begin(), q.end()))
+          << "slab of node " << u << " at step " << e.step();
+    }
+    if (e.step() != 0) return;
+    checked_prepare = true;
+    // k = 2 per inlink queue: the first two packets of each queue are in,
+    // interleaved in id order; the other eight wait.
+    EXPECT_EQ(slab(e, a), (std::vector<PacketId>{1, 3, 5, 7}));
+    EXPECT_EQ(slab(e, b), (std::vector<PacketId>{0, 2, 4, 6}));
+  };
+  const auto waiting =
+      expect_lockstep(mesh, "bounded-dimension-order", 2, w, options);
+  EXPECT_TRUE(checked_prepare);
+  ASSERT_FALSE(waiting.empty());
+  EXPECT_EQ(waiting.front(), 8);
+}
+
+TEST(DynamicInjection, LateSmallerIdJoinsAheadOfWaitingLargerId) {
+  // Packet 0 becomes due at step 3, while packet 3 (same source, due at
+  // step 0) is still waiting for the k = 1 queue. The merge must offer
+  // packet 0 first, as a global id-order pass would.
+  const Mesh mesh = Mesh::square(8);
+  const NodeId s = mesh.id_of(0, 2);
+  const NodeId d = mesh.id_of(5, 2);
+  Workload w;
+  w.push_back(Demand{s, d, 3});
+  for (int i = 0; i < 3; ++i) w.push_back(Demand{s, d, 0});
+  w.push_back(Demand{mesh.id_of(4, 4), mesh.id_of(0, 0), 0});
+  std::vector<Step> entered(4, -1);
+  LockstepOptions options;
+  options.inspect = [&](const Engine& e) {
+    for (PacketId p = 0; p < 4; ++p)
+      if (entered[p] < 0 && e.packet(p).location == s) entered[p] = e.step();
+  };
+  const auto waiting = expect_lockstep(mesh, "dimension-order", 1, w, options);
+  // Each packet holds the k = 1 queue for two steps (the next node frees
+  // up one step later), so the source admits one packet every other step:
+  // 1 at prepare, 2 at step 2, then 0 — due at step 3, still behind 2 —
+  // at step 4 ahead of the older waiter 3, which enters at step 6.
+  EXPECT_EQ(entered, (std::vector<Step>{4, 0, 2, 6}));
+  ASSERT_GE(waiting.size(), 7u);
+  EXPECT_EQ(std::vector<std::int64_t>(waiting.begin(), waiting.begin() + 7),
+            (std::vector<std::int64_t>{2, 2, 1, 2, 1, 1, 0}));
+}
+
+TEST(DynamicInjection, FaultDeferredSelfDeliveryWaitsForItsNode) {
+  // A source == dest packet due while its node is down is deferred, not
+  // delivered, until the window closes; it never counts as waiting for a
+  // full queue. A same-source packet with a real destination is deferred
+  // alongside it.
+  const Mesh mesh = Mesh::square(6);
+  const NodeId s = 14;
+  Workload w;
+  w.push_back(Demand{s, s, 2});
+  w.push_back(Demand{s, 27, 2});
+  w.push_back(Demand{3, 32, 1});
+  Step delivered_at = -1;
+  std::int64_t deferred_steps = 0;
+  LockstepOptions options;
+  options.faults = "node:14@1-30";
+  options.inspect = [&](const Engine& e) {
+    delivered_at = e.packet(0).delivered_at;
+    if (e.fault_deferred_this_step() == 2) ++deferred_steps;
+  };
+  const auto waiting = expect_lockstep(mesh, "dimension-order", 2, w, options);
+  EXPECT_EQ(delivered_at, 30);
+  EXPECT_EQ(deferred_steps, 28);  // steps 2..29
+  for (const std::int64_t n : waiting) EXPECT_EQ(n, 0);
+}
+
+TEST(DynamicInjection, ExchangedWaitingPacketsJoinTheirNewQueues) {
+  // Phase (b) may exchange the destinations of packets still waiting
+  // outside the network. Their injection queue follows the new
+  // destination: 3 and 6 swap a row queue for a column queue, and 1 is
+  // handed its own source as destination, so it is delivered at injection
+  // instead of entering a queue.
+  const Mesh mesh = Mesh::square(8);
+  const NodeId s = mesh.id_of(1, 1);
+  const NodeId t = mesh.id_of(0, 4);
+  Workload w;
+  w.push_back(Demand{s, mesh.id_of(6, 1)});  // 0: row, in at prepare
+  w.push_back(Demand{s, mesh.id_of(5, 1)});  // 1: row, waits
+  w.push_back(Demand{s, mesh.id_of(1, 5)});  // 2: column, in at prepare
+  w.push_back(Demand{s, mesh.id_of(1, 6)});  // 3: column, waits
+  w.push_back(Demand{t, mesh.id_of(6, 4)});  // 4: row, in at prepare
+  w.push_back(Demand{t, s});                 // 5: row, waits
+  w.push_back(Demand{s, mesh.id_of(7, 1)});  // 6: row, waits
+  LockstepOptions options;
+  options.exchange_step = 1;
+  options.exchanges = {{1, 5}, {3, 6}};
+  Step self_delivered_at = -1;
+  bool entered_network = false;
+  options.inspect = [&](const Engine& e) {
+    self_delivered_at = e.packet(1).delivered_at;
+    entered_network |= e.packet(1).location != kInvalidNode;
+  };
+  const auto waiting =
+      expect_lockstep(mesh, "bounded-dimension-order", 1, w, options);
+  ASSERT_FALSE(waiting.empty());
+  EXPECT_EQ(waiting.front(), 4);  // 1, 3 and 6 at s; 5 at t
+  EXPECT_EQ(self_delivered_at, 2);
+  EXPECT_FALSE(entered_network);
 }
 
 }  // namespace

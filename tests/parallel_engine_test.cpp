@@ -3,9 +3,11 @@
 // final counters must match for every registered router across shard
 // (tile) counts and thread counts, on the mesh and the torus, including
 // uneven bands (height not divisible by the shard count) and the staggered
-// -injection / full-queue waiting paths.
+// -injection / full-queue waiting paths, up to saturated open-loop
+// traffic that keeps a backlog outside the network in every band.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -16,6 +18,8 @@
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
 #include "topo/mesh.hpp"
+#include "traffic/pump.hpp"
+#include "traffic/source.hpp"
 #include "workload/permutation.hpp"
 
 namespace mr {
@@ -34,6 +38,15 @@ struct Trace {
   int max_occupancy = 0;
   bool stalled = false;
 };
+
+/// Fills the end-of-run fields of `t`.
+void finish(const Engine& e, const DigestHasher& hasher, Trace& t) {
+  t.digest_hash = hasher.hash();
+  t.total_moves = e.total_moves();
+  t.delivered = e.delivered_count();
+  t.max_occupancy = e.max_occupancy_seen();
+  t.stalled = e.stalled();
+}
 
 Trace trace(const std::string& router, std::int32_t n, bool torus, int k,
             std::uint64_t seed, Step steps, Mode mode) {
@@ -60,11 +73,7 @@ Trace trace(const std::string& router, std::int32_t n, bool torus, int k,
     e.step_once();
     t.fingerprints.push_back(e.fingerprint());
   }
-  t.digest_hash = hasher.hash();
-  t.total_moves = e.total_moves();
-  t.delivered = e.delivered_count();
-  t.max_occupancy = e.max_occupancy_seen();
-  t.stalled = e.stalled();
+  finish(e, hasher, t);
   return t;
 }
 
@@ -135,6 +144,71 @@ TEST(ParallelEngine, EmpsMatchesOnTorus) {
   for (const Mode& m : {Mode{2, 2}, Mode{3, 2}, Mode{8, 4}}) {
     const Trace par = trace("emps", 8, true, 2, 37, 40, m);
     expect_identical(seq, par, label_of("emps", true, m));
+  }
+}
+
+/// Open-loop uniform traffic far above what an n×n mesh accepts, pumped
+/// for `inject_steps` steps and then drained. If `all_rows_waiting` is
+/// given, sets it when after some step every row held a source with a
+/// packet waiting outside the network, i.e. every band of every split had
+/// a backlog at once.
+Trace saturated_trace(const std::string& router, std::int32_t n,
+                      Step inject_steps, Mode mode, bool* all_rows_waiting) {
+  const Mesh mesh = Mesh::square(n);
+  Engine::Config config;
+  config.queue_capacity = 2;
+  config.stall_counts_pending_injections = true;
+  config.stall_limit = 64;
+  config.shards = mode.shards;
+  config.threads = mode.threads;
+  Engine e(mesh, config, [&] { return make_algorithm(router); });
+  TrafficSpec spec;
+  spec.rate = 0.6;
+  spec.seed = 41;
+  BernoulliSource source(mesh, spec);
+  TrafficPump pump(e, source, inject_steps, /*ahead=*/3);
+  pump.prime();
+  DigestHasher hasher;
+  e.add_observer(&hasher);
+  e.prepare();
+  Trace t;
+  t.fingerprints.push_back(e.fingerprint());
+  if (all_rows_waiting != nullptr) *all_rows_waiting = false;
+  while (!e.stalled() && e.step() < 4000) {
+    pump.advance();
+    if (e.all_delivered()) break;
+    e.step_once();
+    t.fingerprints.push_back(e.fingerprint());
+    if (all_rows_waiting == nullptr) continue;
+    std::vector<std::uint8_t> row_waiting(static_cast<std::size_t>(n), 0);
+    for (const Packet& pk : e.all_packets())
+      if (!pk.delivered() && pk.location == kInvalidNode &&
+          pk.injected_at <= e.step())
+        row_waiting[static_cast<std::size_t>(mesh.coord_of(pk.source).row)] = 1;
+    if (std::find(row_waiting.begin(), row_waiting.end(), 0) == row_waiting.end())
+      *all_rows_waiting = true;
+  }
+  finish(e, hasher, t);
+  return t;
+}
+
+TEST(ParallelEngine, SaturatedOpenLoopBacklogMatchesSequential) {
+  // Every band merges newly due packets into its own waiting list each
+  // step, concurrently with the other bands. At this load the per-inlink
+  // routers drain; the central-queue ones deadlock within a few steps and
+  // must stall at the same step on every split.
+  constexpr std::int32_t n = 11;
+  for (const std::string& router : algorithm_names()) {
+    bool backlog = false;
+    const Trace seq = saturated_trace(router, n, 40, Mode{1, 1}, &backlog);
+    EXPECT_TRUE(backlog) << router << ": some row never had a backlog";
+    if (make_algorithm(router)->queue_layout() == QueueLayout::PerInlink) {
+      EXPECT_FALSE(seq.stalled) << router;
+    }
+    for (const Mode& m : kModes) {
+      const Trace par = saturated_trace(router, n, 40, m, nullptr);
+      expect_identical(seq, par, "saturated/" + label_of(router, false, m));
+    }
   }
 }
 

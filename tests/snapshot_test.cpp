@@ -134,12 +134,18 @@ TEST(Snapshot, RestoredRunsAreBitIdentical) {
 
 // --- wire-format negative paths ------------------------------------------
 
-EngineSnapshot sample_snapshot(const std::string& algo, int shards) {
+/// The staggered run snapshotted after kSnapshotStep. `crowd` extra
+/// packets become due at node 0 in the snapshot step; with k = 2, all but
+/// two of them are still waiting outside the network in the snapshot.
+EngineSnapshot sample_snapshot(const std::string& algo, int shards,
+                               int crowd = 0) {
   const std::unique_ptr<Topology> topo = make_topology("mesh", kN, kN);
   Engine engine(*topo, engine_config(shards),
                 [&] { return make_algorithm(algo); });
   for (const Demand& d : staggered_workload(*topo))
     engine.add_packet(d.source, d.dest, d.injected_at);
+  for (int i = 0; i < crowd; ++i)
+    engine.add_packet(0, kN * kN - 1 - i, kSnapshotStep);
   engine.prepare();
   while (engine.step() < kSnapshotStep && engine.step_once()) {
   }
@@ -220,9 +226,10 @@ TEST(Snapshot, RestoreRejectsInconsistentInjectionState) {
   // trips an invariant check, and a reordered or duplicated pending list
   // stalls it early with packets undelivered. restore() must reject all of
   // them up front and leave the engine as it was.
-  const EngineSnapshot good = sample_snapshot("dimension-order", 1);
+  const EngineSnapshot good = sample_snapshot("dimension-order", 1, /*crowd=*/4);
   const auto cursor = static_cast<std::size_t>(good.injection_cursor);
   ASSERT_GE(good.injections.size(), cursor + 2) << "needs two pending entries";
+  ASSERT_GE(good.waiting_injections.size(), 2u) << "needs two waiting packets";
   PacketId queued = kInvalidPacket;
   for (const Packet& pk : good.packets)
     if (!pk.delivered() && pk.slot >= 0) queued = pk.id;
@@ -241,6 +248,11 @@ TEST(Snapshot, RestoreRejectsInconsistentInjectionState) {
   cases.emplace_back("pending id also waiting", good);
   cases.back().second.waiting_injections.push_back(
       good.injections[cursor].second);
+  // The engine injects waiting packets in id order per source without
+  // re-sorting, so a shuffled waiting list would change the run.
+  cases.emplace_back("waiting entries out of id order", good);
+  std::reverse(cases.back().second.waiting_injections.begin(),
+               cases.back().second.waiting_injections.end());
 
   const std::unique_ptr<Topology> topo = make_topology("mesh", kN, kN);
   Engine engine(*topo, engine_config(1),
