@@ -1,7 +1,5 @@
 #include "check/adversary.hpp"
 
-#include <algorithm>
-
 namespace mr {
 
 namespace {
@@ -14,7 +12,7 @@ constexpr int kScanCap = 64;
 /// Total legality probes per step across all moves. On large instances
 /// most moves find no legal strictly-better candidate, and without a step
 /// budget every such move burns kScanCap probes — O(moves · cap) of pure
-/// failure. The budget keeps phase (b) at O(P log P + budget) per step;
+/// failure. The budget keeps phase (b) at O(P + n + budget) per step;
 /// the adversary simply resumes steering next step.
 constexpr int kStepProbeBudget = 4096;
 
@@ -61,23 +59,33 @@ void GreedyAdversary::after_schedule(Sim& e,
 
   // Candidate pool: every undelivered packet, ascending by destination
   // distance to the hot node (ties by id, so the pass is deterministic).
-  struct Candidate {
-    std::int32_t dist;
-    PacketId packet;
-  };
-  std::vector<Candidate> pool;
-  pool.reserve(e.num_packets());
-  std::vector<std::uint8_t> consumed(e.num_packets(), 0);
+  // Distances are integers below width + height, so a counting sort over
+  // the packets in id order yields that order in O(packets + width +
+  // height).
+  const Topology& topo = e.topology();
+  bucket_start_.assign(
+      static_cast<std::size_t>(topo.width() + topo.height()) + 1, 0);
+  dist_.resize(e.num_packets());
+  std::size_t undelivered = 0;
   for (std::size_t id = 0; id < e.num_packets(); ++id) {
-    const PacketId q = static_cast<PacketId>(id);
-    const Packet& qk = e.packet(q);
-    if (qk.delivered()) continue;
-    pool.push_back(Candidate{e.topology().distance(qk.dest, hot), q});
+    const Packet& qk = e.packet(static_cast<PacketId>(id));
+    if (qk.delivered()) {
+      dist_[id] = -1;
+      continue;
+    }
+    dist_[id] = topo.distance(qk.dest, hot);
+    ++bucket_start_[static_cast<std::size_t>(dist_[id]) + 1];
+    ++undelivered;
   }
-  std::sort(pool.begin(), pool.end(), [](const Candidate& a,
-                                         const Candidate& b) {
-    return a.dist != b.dist ? a.dist < b.dist : a.packet < b.packet;
-  });
+  for (std::size_t b = 1; b < bucket_start_.size(); ++b)
+    bucket_start_[b] += bucket_start_[b - 1];
+  pool_.resize(undelivered);
+  for (std::size_t id = 0; id < e.num_packets(); ++id) {
+    if (dist_[id] < 0) continue;
+    pool_[bucket_start_[static_cast<std::size_t>(dist_[id])]++] =
+        Candidate{dist_[id], static_cast<PacketId>(id)};
+  }
+  consumed_.assign(e.num_packets(), 0);
 
   // One greedy pass: each scheduled packet gets at most one exchange, with
   // the hottest-aimed legal partner still available. Consuming both sides
@@ -88,17 +96,17 @@ void GreedyAdversary::after_schedule(Sim& e,
   for (const ScheduledMove& m : moves) {
     if (max_swaps_per_step_ > 0 && swaps >= max_swaps_per_step_) break;
     if (budget <= 0) break;
-    if (consumed[static_cast<std::size_t>(m.packet)]) continue;
+    if (consumed_[static_cast<std::size_t>(m.packet)]) continue;
     const NodeId cur_dest = e.packet(m.packet).dest;
     const std::int32_t cur_dist = e.topology().distance(cur_dest, hot);
     if (cur_dist == 0) continue;  // already aimed at the hot node
 
     int probed = 0;
-    for (const Candidate& c : pool) {
+    for (const Candidate& c : pool_) {
       if (c.dist >= cur_dist) break;  // sorted: no improvement left
       if (probed >= kScanCap || budget <= 0) break;
       if (c.packet == m.packet ||
-          consumed[static_cast<std::size_t>(c.packet)])
+          consumed_[static_cast<std::size_t>(c.packet)])
         continue;
       ++probed;
       --budget;
@@ -106,8 +114,8 @@ void GreedyAdversary::after_schedule(Sim& e,
       if (!dest_legal_for(e, m.packet, cand_dest)) continue;
       if (!dest_legal_for(e, c.packet, cur_dest)) continue;
       e.exchange_destinations(m.packet, c.packet);
-      consumed[static_cast<std::size_t>(m.packet)] = 1;
-      consumed[static_cast<std::size_t>(c.packet)] = 1;
+      consumed_[static_cast<std::size_t>(m.packet)] = 1;
+      consumed_[static_cast<std::size_t>(c.packet)] = 1;
       ++exchanges_;
       ++swaps;
       break;

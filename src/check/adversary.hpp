@@ -46,11 +46,27 @@ class GreedyAdversary : public StepInterceptor {
   /// (if any) profitable and does not park p on its own location.
   bool dest_legal_for(const Sim& e, PacketId p, NodeId dest) const;
 
+  /// An exchange partner: a packet and its destination's distance to the
+  /// hot node.
+  struct Candidate {
+    std::int32_t dist;
+    PacketId packet;
+  };
+
   int max_swaps_per_step_;
   std::size_t exchanges_ = 0;
+  std::span<const ScheduledMove> moves_;
+  // Per-step scratch, kept to reuse its storage.
   /// Per-packet scheduled move index for the current step, or -1.
   std::vector<std::int32_t> scheduled_move_;
-  std::span<const ScheduledMove> moves_;
+  /// Per-packet distance to the hot node, or -1 if delivered.
+  std::vector<std::int32_t> dist_;
+  /// Counting-sort bucket offsets, one per distance.
+  std::vector<std::size_t> bucket_start_;
+  /// Undelivered packets ascending by (dist, id).
+  std::vector<Candidate> pool_;
+  /// Packets already exchanged this step.
+  std::vector<std::uint8_t> consumed_;
 };
 
 }  // namespace mr

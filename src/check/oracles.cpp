@@ -5,15 +5,14 @@
 
 namespace mr {
 
-namespace {
-
-/// Sorted-vector uniqueness helper for small per-step key sets.
-bool all_unique(std::vector<std::int64_t>& keys) {
-  std::sort(keys.begin(), keys.end());
-  return std::adjacent_find(keys.begin(), keys.end()) == keys.end();
+void StepStamps::next_step(std::size_t size) {
+  if (stamps_.size() < size) stamps_.resize(size, 0);
+  if (++epoch_ == 0) {
+    // The epoch wrapped: clear every stamp so none matches a reused value.
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    epoch_ = 1;
+  }
 }
-
-}  // namespace
 
 void QueueBoundOracle::check(const Sim& e, const StepDigest& d) const {
   const int k = e.queue_capacity();
@@ -70,18 +69,24 @@ void QueueBoundOracle::check(const Sim& e, const StepDigest& d) const {
 }
 
 void LinkCapacityOracle::on_step(const Sim& e, const StepDigest& d) {
-  std::vector<std::int64_t> links, packets;
-  links.reserve(d.moves.size());
-  packets.reserve(d.moves.size());
+  links_.next_step(static_cast<std::size_t>(e.mesh().num_nodes()) * kNumDirs);
+  packets_.next_step(e.num_packets());
+  // Repeats are reported after the per-move checks, which keep precedence.
+  bool link_reused = false;
+  bool packet_reused = false;
   for (const MoveRecord& m : d.moves) {
     MR_REQUIRE_MSG(e.mesh().neighbor(m.from, m.dir) == m.to,
                    "[oracle:link-capacity] hop of packet "
                        << m.packet << " from " << m.from << " "
                        << dir_name(m.dir) << " does not land at " << m.to
                        << " (step " << d.step << ")");
-    links.push_back(static_cast<std::int64_t>(m.from) * kNumDirs +
-                    dir_index(m.dir));
-    packets.push_back(m.packet);
+    MR_REQUIRE_MSG(m.packet >= 0 &&
+                       static_cast<std::size_t>(m.packet) < e.num_packets(),
+                   "[oracle:link-capacity] hop names unknown packet "
+                       << m.packet << " (step " << d.step << ")");
+    link_reused |= !links_.insert(static_cast<std::size_t>(m.from) * kNumDirs +
+                                  dir_index(m.dir));
+    packet_reused |= !packets_.insert(static_cast<std::size_t>(m.packet));
     const Packet& pk = e.packet(m.packet);
     if (m.delivered) {
       MR_REQUIRE_MSG(pk.delivered() && pk.location == kInvalidNode &&
@@ -97,10 +102,10 @@ void LinkCapacityOracle::on_step(const Sim& e, const StepDigest& d) {
                          << d.step << ")");
     }
   }
-  MR_REQUIRE_MSG(all_unique(links),
+  MR_REQUIRE_MSG(!link_reused,
                  "[oracle:link-capacity] a directed link carried two packets"
                      << " in step " << d.step);
-  MR_REQUIRE_MSG(all_unique(packets),
+  MR_REQUIRE_MSG(!packet_reused,
                  "[oracle:link-capacity] a packet moved twice in step "
                      << d.step);
 }
@@ -333,6 +338,14 @@ std::string run_trace_oracles(const std::vector<TraceEvent>& events,
   std::vector<int> occ(
       static_cast<std::size_t>(mesh.num_nodes()) * queues_per_node, 0);
   std::size_t cursor = 0;
+  // This step's hops, each with the first direction whose link reaches
+  // its target: (from, that direction) names the same link as (from, to).
+  struct Hop {
+    const TraceEvent* ev;
+    Dir dir;
+  };
+  std::vector<Hop> step_moves;
+  StepStamps links, movers;
   for (Step t = 0; t <= max_step; ++t) {
     for (std::size_t id = 0; id < packets.size(); ++id) {
       const Packet& pk = packets[id];
@@ -356,7 +369,7 @@ std::string run_trace_oracles(const std::vector<TraceEvent>& events,
     // adjacency, position continuity. Transmissions are simultaneous, so
     // all departures are applied before any arrival and the queue bound
     // is judged on the end-of-step configuration only.
-    std::vector<const TraceEvent*> step_moves;
+    step_moves.clear();
     while (cursor < events.size() && events[cursor].step <= t) {
       const TraceEvent& ev = events[cursor++];
       if (ev.step < t) {
@@ -372,13 +385,23 @@ std::string run_trace_oracles(const std::vector<TraceEvent>& events,
         }
         continue;  // queue effects handled with the delivering move below
       }
-      step_moves.push_back(&ev);
+      step_moves.push_back(Hop{&ev, Dir::North});
     }
-    std::vector<std::int64_t> links, movers;
-    for (const TraceEvent* ev : step_moves) {
+    links.next_step(static_cast<std::size_t>(mesh.num_nodes()) * kNumDirs);
+    movers.next_step(packets.size());
+    bool link_reused = false;
+    bool mover_reused = false;
+    for (Hop& hop : step_moves) {
+      const TraceEvent* ev = hop.ev;
       const auto id = static_cast<std::size_t>(ev->packet);
       bool adjacent = false;
-      for (Dir d : kAllDirs) adjacent |= mesh.neighbor(ev->from, d) == ev->to;
+      for (Dir d : kAllDirs) {
+        if (mesh.neighbor(ev->from, d) == ev->to) {
+          hop.dir = d;
+          adjacent = true;
+          break;
+        }
+      }
       if (!adjacent) {
         err << "packet " << ev->packet << " hopped from " << ev->from
             << " to " << ev->to << " (not a link) at step " << t;
@@ -389,40 +412,34 @@ std::string run_trace_oracles(const std::vector<TraceEvent>& events,
             << " at step " << t << " but the replay places it at " << pos[id];
         return err.str();
       }
-      links.push_back(static_cast<std::int64_t>(ev->from) * mesh.num_nodes() +
-                      ev->to);
-      movers.push_back(ev->packet);
+      link_reused |= !links.insert(static_cast<std::size_t>(ev->from) *
+                                       kNumDirs + dir_index(hop.dir));
+      mover_reused |= !movers.insert(id);
       --occ[queue_index(ev->from, tag[id])];
     }
-    if (!all_unique(links)) {
+    if (link_reused) {
       err << "a directed link carried two packets in step " << t;
       return err.str();
     }
-    if (!all_unique(movers)) {
+    if (mover_reused) {
       err << "a packet moved twice in step " << t;
       return err.str();
     }
-    for (const TraceEvent* ev : step_moves) {
+    for (const Hop& hop : step_moves) {
+      const TraceEvent* ev = hop.ev;
       const auto id = static_cast<std::size_t>(ev->packet);
       if (deliver_step[id] == t) {
         pos[id] = kInvalidNode;  // delivered on arrival; never queued at to
         continue;
       }
       // Arrival inlink: the queue opposite the travel direction.
-      int arrival = 0;
-      if (per_inlink) {
-        for (Dir d : kAllDirs) {
-          if (mesh.neighbor(ev->from, d) == ev->to) {
-            arrival = dir_index(opposite(d));
-            break;
-          }
-        }
-      }
+      const int arrival = per_inlink ? dir_index(opposite(hop.dir)) : 0;
       pos[id] = ev->to;
       tag[id] = arrival;
       ++occ[queue_index(ev->to, arrival)];
     }
-    for (const TraceEvent* ev : step_moves) {
+    for (const Hop& hop : step_moves) {
+      const TraceEvent* ev = hop.ev;
       for (std::size_t q = 0; q < queues_per_node; ++q) {
         if (occ[queue_index(ev->to, static_cast<int>(q))] >
             queue_capacity) {

@@ -13,6 +13,14 @@
 // add_observer(StepObserver*). They can also replay offline: a recorded
 // TraceRecorder stream passes through run_trace_oracles(), which rebuilds
 // queue occupancy from the move events alone.
+//
+// Per-step cost: QueueBoundOracle scans every queue, O(nodes + queued
+// packets), by design — a drifted counter can sit at any node.
+// LinkCapacityOracle, ProfitableMoveOracle and the move checks of
+// BoxEscapeOracle are O(moves), with no sort, allocation or virtual
+// topology call per step. ExchangeConsistencyOracle is O(packets), plus a
+// sort of the destinations in steps with exchanges; BoxEscapeOracle's
+// confinement checks are O(class packets).
 #pragma once
 
 #include <array>
@@ -27,6 +35,27 @@
 #include "topo/topology.hpp"
 
 namespace mr {
+
+/// A set of dense keys that is emptied in O(1) per step: a key is in the
+/// set iff its stamp equals the current epoch. The table grows on demand
+/// and never shrinks; keys stamped in an earlier step (or for an earlier,
+/// smaller sim) hold older epochs and read as absent.
+class StepStamps {
+ public:
+  /// Starts a new step over keys [0, size) with an empty set.
+  void next_step(std::size_t size);
+
+  /// Adds `key`; returns false if it was already added this step.
+  bool insert(std::size_t key) {
+    if (stamps_[key] == epoch_) return false;
+    stamps_[key] = epoch_;
+    return true;
+  }
+
+ private:
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> stamps_;
+};
 
 /// Queue bound of §2: no queue ever holds more than k packets — the
 /// central queue for the Central layout, each of the four inlink queues
@@ -51,6 +80,11 @@ class QueueBoundOracle : public StepObserver {
 class LinkCapacityOracle : public StepObserver {
  public:
   void on_step(const Sim& e, const StepDigest& d) override;
+
+ private:
+  /// Directed links (node × dir) and packets used in the current step.
+  StepStamps links_;
+  StepStamps packets_;
 };
 
 /// Minimality (§2) for minimal algorithms: every transmitted hop strictly

@@ -63,9 +63,9 @@ void Engine::init_engine(const Config& config) {
   is_active_.assign(n, 0);
   if (layout_ == QueueLayout::PerInlink) inlink_occ_.assign(n * kNumDirs, 0);
 
-  // Devirtualise the topology for the step loops: one flat neighbour
-  // lookup per (node, direction), filled from the virtual kernel here and
-  // never consulted again.
+  // Flatten the topology for the step loops: one neighbour lookup per
+  // (node, direction), filled from the kernel here; the step loops read
+  // only the table.
   neighbor_tab_.assign(n * kNumDirs, kInvalidNode);
   for (NodeId u = 0; u < num_nodes_; ++u)
     for (int di = 0; di < kNumDirs; ++di) {

@@ -330,9 +330,10 @@ class Engine : public Sim {
   std::size_t inlink_index(NodeId u, QueueTag tag) const {
     return static_cast<std::size_t>(u) * kNumDirs + tag;
   }
-  /// Devirtualised neighbour lookup for the plan/validate inner loops:
-  /// one flat table built from the topology at construction, indexed by
-  /// (node, direction). kInvalidNode marks a missing link.
+  /// Precomputed neighbour lookup for the plan/validate inner loops: one
+  /// flat table built from the topology at construction, indexed by
+  /// (node, direction), so a hop costs one load instead of the kernel's
+  /// id-to-coordinate division. kInvalidNode marks a missing link.
   NodeId neighbor_of(NodeId u, Dir d) const {
     return neighbor_tab_[static_cast<std::size_t>(u) * kNumDirs +
                          static_cast<std::size_t>(dir_index(d))];

@@ -17,25 +17,4 @@ std::string CMesh::name() const {
   return os.str();
 }
 
-NodeId CMesh::neighbor(NodeId id, Dir d) const {
-  Coord c = coord_of(id);
-  switch (d) {
-    case Dir::North: c.row += 1; break;
-    case Dir::South: c.row -= 1; break;
-    case Dir::East: c.col += 1; break;
-    case Dir::West: c.col -= 1; break;
-  }
-  if (!contains(c)) return kInvalidNode;
-  return id_of(c);
-}
-
-mr::Delta CMesh::delta(NodeId from, NodeId to) const {
-  const Coord a = coord_of(from);
-  const Coord b = coord_of(to);
-  mr::Delta d;
-  d.east = b.col - a.col;
-  d.north = b.row - a.row;
-  return d;
-}
-
 }  // namespace mr

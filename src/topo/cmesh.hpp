@@ -5,8 +5,8 @@
 // per-terminal saturation rate can only be lower (E19 pins this).
 //
 // Terminal t lives on router t / c in slot t % c (block mapping). Routing
-// is ordinary non-wrapping mesh routing on the router grid; the engine
-// never sees terminals, only routers.
+// is ordinary non-wrapping mesh routing on the router grid (Topology's
+// kernel); the engine never sees terminals, only routers.
 #pragma once
 
 #include "topo/topology.hpp"
@@ -22,9 +22,6 @@ class CMesh final : public Topology {
   std::unique_ptr<Topology> clone() const override {
     return std::make_unique<CMesh>(*this);
   }
-
-  NodeId neighbor(NodeId id, Dir d) const override;
-  mr::Delta delta(NodeId from, NodeId to) const override;
 
   std::int32_t concentration() const override { return concentration_; }
 

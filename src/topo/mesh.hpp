@@ -4,7 +4,8 @@
 // 0-based; the paper's 1-based "column 1..n" convention appears only in
 // printed output. The network is the bidirected graph in which every node
 // has an outlink and inlink per adjacent node (wrap-around links on the
-// torus).
+// torus). The edge and distance kernel is Topology's; a Mesh adds only
+// its name and clone.
 #pragma once
 
 #include "topo/topology.hpp"
@@ -22,23 +23,11 @@ class Mesh final : public Topology {
     return Mesh(n, n, torus);
   }
 
-  /// Legacy alias for mr::Delta (pre-Topology call sites).
-  using Delta = mr::Delta;
-
   std::string name() const override { return is_torus() ? "torus" : "mesh"; }
 
   std::unique_ptr<Topology> clone() const override {
     return std::make_unique<Mesh>(*this);
   }
-
-  /// Neighbour in direction d, or kInvalidNode if off the mesh edge.
-  NodeId neighbor(NodeId id, Dir d) const override;
-
-  /// Shortest-path displacement. On the torus the smaller wrap is chosen;
-  /// an exact tie (even dimension, displacement exactly dim/2) reports the
-  /// positive direction with the corresponding `*_tie` flag set, and
-  /// profitable_dirs() then contains both directions of that dimension.
-  mr::Delta delta(NodeId from, NodeId to) const override;
 };
 
 }  // namespace mr

@@ -1,12 +1,13 @@
 // Topology interface (DESIGN.md §10).
 //
 // Every network the engine can route on is a rectangular grid of routers
-// (width × height, row-major dense node ids) plus a per-topology edge
-// relation. The grid contract is deliberately NON-virtual: the engine's
-// flat-table hot path (NodeQueues slabs, shard banding) indexes by
-// `id = row * width + col` and relies on that mapping being identical for
-// every topology. Concrete topologies customise only the virtual edge/
-// distance kernel (`neighbor`, `delta`) and the terminal mapping
+// (width × height, row-major dense node ids), with or without wrap links.
+// The grid contract and the edge/distance kernel (`neighbor`, `delta`,
+// `distance`, `profitable_dirs`) are NON-virtual and inline, driven by
+// `width_`, `height_` and `wraps_` alone: the engine's flat-table hot path
+// (NodeQueues slabs, shard banding) indexes by `id = row * width + col`,
+// and routers and oracles call the kernel once per hop. Concrete
+// topologies customise only `name`, `clone` and the terminal mapping
 // (concentration).
 //
 // Columns are numbered west→east and rows south→north, both 0-based; the
@@ -14,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,21 +74,65 @@ class Topology {
   /// All node ids, row-major (south row first).
   std::vector<NodeId> all_nodes() const;
 
-  // --- Edge/distance kernel (virtual). ---
+  // --- Edge/distance kernel (non-virtual, inline). ---
 
-  /// Neighbour in direction d, or kInvalidNode if no such link.
-  virtual NodeId neighbor(NodeId id, Dir d) const = 0;
+  /// Neighbour in direction d, or kInvalidNode if no such link (off the
+  /// edge of a non-wrapping grid).
+  NodeId neighbor(NodeId id, Dir d) const {
+    Coord c = coord_of(id);
+    switch (d) {
+      case Dir::North: c.row += 1; break;
+      case Dir::South: c.row -= 1; break;
+      case Dir::East: c.col += 1; break;
+      case Dir::West: c.col -= 1; break;
+    }
+    if (wraps_) {
+      if (c.col < 0) c.col += width_;
+      if (c.col >= width_) c.col -= width_;
+      if (c.row < 0) c.row += height_;
+      if (c.row >= height_) c.row -= height_;
+    } else if (!contains(c)) {
+      return kInvalidNode;
+    }
+    return c.row * width_ + c.col;
+  }
 
-  /// Shortest-path displacement from `from` to `to`; see mr::Delta.
-  virtual Delta delta(NodeId from, NodeId to) const = 0;
+  /// Shortest-path displacement from `from` to `to`; see mr::Delta. With
+  /// wrap links the smaller wrap is chosen; an exact tie (even dimension,
+  /// displacement exactly dim/2) reports the positive direction with the
+  /// corresponding `*_tie` flag set, and profitable_dirs() then contains
+  /// both directions of that dimension.
+  Delta delta(NodeId from, NodeId to) const {
+    const Coord a = coord_of(from);
+    const Coord b = coord_of(to);
+    Delta d;
+    d.east = b.col - a.col;
+    d.north = b.row - a.row;
+    if (wraps_) {
+      d.east = shortest_wrap(d.east, width_, d.east_tie);
+      d.north = shortest_wrap(d.north, height_, d.north_tie);
+    }
+    return d;
+  }
 
   /// L1 (shortest-path) distance.
-  std::int32_t distance(NodeId from, NodeId to) const;
+  std::int32_t distance(NodeId from, NodeId to) const {
+    const Delta d = delta(from, to);
+    return std::abs(d.east) + std::abs(d.north);
+  }
 
   /// Profitable outlinks of a packet at `from` destined for `to`: the
   /// directions that strictly reduce distance (paper §2). Empty iff
   /// from == to.
-  DirMask profitable_dirs(NodeId from, NodeId to) const;
+  DirMask profitable_dirs(NodeId from, NodeId to) const {
+    const Delta d = delta(from, to);
+    DirMask m = 0;
+    if (d.east > 0 || (d.east != 0 && d.east_tie)) m |= dir_bit(Dir::East);
+    if (d.east < 0 || (d.east != 0 && d.east_tie)) m |= dir_bit(Dir::West);
+    if (d.north > 0 || (d.north != 0 && d.north_tie)) m |= dir_bit(Dir::North);
+    if (d.north < 0 || (d.north != 0 && d.north_tie)) m |= dir_bit(Dir::South);
+    return m;
+  }
 
   /// True if moving from `from` in direction d strictly reduces the
   /// distance to `to`.
@@ -129,6 +175,18 @@ class Topology {
   Topology& operator=(const Topology&) = default;
 
  private:
+  /// Shortest signed displacement on a ring of n nodes for a raw column
+  /// (or row) difference x in (-n, n). An exact half-ring tie reports the
+  /// positive direction and sets `tie`.
+  static std::int32_t shortest_wrap(std::int32_t x, std::int32_t n,
+                                    bool& tie) {
+    const std::int32_t fwd = x < 0 ? x + n : x;  // steps in + direction
+    const std::int32_t bwd = n - fwd;            // steps in - direction
+    tie = fwd != 0 && fwd == bwd;
+    if (fwd == 0) return 0;
+    return fwd <= bwd ? fwd : -bwd;
+  }
+
   std::int32_t width_;
   std::int32_t height_;
   bool wraps_;

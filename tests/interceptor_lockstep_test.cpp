@@ -10,8 +10,10 @@
 // classified only after phase (b).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/adversary.hpp"
@@ -57,13 +59,81 @@ class OfferDeliverySwapper : public StepInterceptor {
   std::size_t swaps_ = 0;
 };
 
+/// GreedyAdversary's strategy with its candidate pool ordered by a full
+/// std::sort on (distance to the hot node, id) every step: the order its
+/// counting sort must reproduce exactly.
+class SortedPoolAdversary : public StepInterceptor {
+ public:
+  std::size_t exchanges() const { return exchanges_; }
+
+  void after_schedule(Sim& e, std::span<const ScheduledMove> moves) override {
+    NodeId hot = kInvalidNode;
+    int best = 0;
+    for (NodeId u : e.active_nodes()) {
+      if (e.occupancy(u) > best) {
+        best = e.occupancy(u);
+        hot = u;
+      }
+    }
+    if (hot == kInvalidNode || moves.empty()) return;
+    std::vector<std::int32_t> scheduled(e.num_packets(), -1);
+    for (std::size_t i = 0; i < moves.size(); ++i)
+      scheduled[static_cast<std::size_t>(moves[i].packet)] =
+          static_cast<std::int32_t>(i);
+    const auto legal = [&](PacketId p, NodeId dest) {
+      const Packet& pk = e.packet(p);
+      const NodeId at = pk.location != kInvalidNode ? pk.location : pk.source;
+      if (at == dest) return false;
+      const std::int32_t mi = scheduled[static_cast<std::size_t>(p)];
+      if (mi < 0) return true;
+      const ScheduledMove& m = moves[static_cast<std::size_t>(mi)];
+      return e.topology().is_profitable(m.from, m.dir, dest);
+    };
+    std::vector<std::pair<std::int32_t, PacketId>> pool;
+    for (std::size_t id = 0; id < e.num_packets(); ++id) {
+      const Packet& qk = e.packet(static_cast<PacketId>(id));
+      if (!qk.delivered())
+        pool.emplace_back(e.topology().distance(qk.dest, hot),
+                          static_cast<PacketId>(id));
+    }
+    std::sort(pool.begin(), pool.end());
+    std::vector<std::uint8_t> consumed(e.num_packets(), 0);
+    int budget = 4096;  // kStepProbeBudget
+    for (const ScheduledMove& m : moves) {
+      if (budget <= 0) break;
+      if (consumed[static_cast<std::size_t>(m.packet)]) continue;
+      const NodeId cur_dest = e.packet(m.packet).dest;
+      const std::int32_t cur_dist = e.topology().distance(cur_dest, hot);
+      if (cur_dist == 0) continue;
+      int probed = 0;
+      for (const auto& [dist, q] : pool) {
+        if (dist >= cur_dist) break;
+        if (probed >= 64 || budget <= 0) break;  // kScanCap
+        if (q == m.packet || consumed[static_cast<std::size_t>(q)]) continue;
+        ++probed;
+        --budget;
+        const NodeId cand_dest = e.packet(q).dest;
+        if (!legal(m.packet, cand_dest) || !legal(q, cur_dest)) continue;
+        e.exchange_destinations(m.packet, q);
+        consumed[static_cast<std::size_t>(m.packet)] = 1;
+        consumed[static_cast<std::size_t>(q)] = 1;
+        ++exchanges_;
+        break;
+      }
+    }
+  }
+
+ private:
+  std::size_t exchanges_ = 0;
+};
+
 /// Runs Engine and ReferenceEngine side by side, each with its own
 /// interceptor, asserting agreement after prepare() and after every step.
 /// Returns the engine's per-packet delivery steps.
-template <typename Interceptor>
 std::vector<Step> run_lockstep(const Mesh& mesh, const std::string& algorithm,
                                int k, const Workload& demands,
-                               Interceptor& icp_opt, Interceptor& icp_ref) {
+                               StepInterceptor& icp_opt,
+                               StepInterceptor& icp_ref) {
   auto algo_opt = make_algorithm(algorithm);
   auto algo_ref = make_algorithm(algorithm);
   Engine::Config config;
@@ -121,6 +191,25 @@ TEST(InterceptorLockstep, GreedyAdversaryMatchesReference) {
                  adv_ref);
     EXPECT_GT(adv_opt.exchanges(), 0u) << "adversary never exchanged";
     EXPECT_EQ(adv_opt.exchanges(), adv_ref.exchanges());
+  }
+}
+
+TEST(InterceptorLockstep, GreedyAdversaryPoolOrderMatchesFullSort) {
+  // The reference engine runs the full-sort strategy: any difference in
+  // the candidate order changes some exchange, and the runs diverge.
+  const std::string algorithm = dx_minimal_algorithm_names().front();
+  for (bool torus : {false, true}) {
+    const Mesh mesh = Mesh::square(8, torus);
+    for (int k : {1, 2}) {
+      SCOPED_TRACE(std::string(torus ? "torus" : "mesh") +
+                   " k=" + std::to_string(k));
+      GreedyAdversary counting;
+      SortedPoolAdversary sorted;
+      run_lockstep(mesh, algorithm, k, random_permutation(mesh, 23), counting,
+                   sorted);
+      EXPECT_GT(counting.exchanges(), 0u) << "adversary never exchanged";
+      EXPECT_EQ(counting.exchanges(), sorted.exchanges());
+    }
   }
 }
 

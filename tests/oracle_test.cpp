@@ -225,6 +225,101 @@ TEST(LinkCapacityOracle, FiresOnDigestPositionMismatch) {
   EXPECT_NE(msg.find("but sits at 2"), std::string::npos) << msg;
 }
 
+// The oracle's per-step link and packet tables are stamped with a step
+// epoch instead of being cleared; these cases pin that a stamp left by an
+// earlier step (or an earlier sim) never reads as "used this step".
+
+TEST(LinkCapacityOracle, FiresOnDoubleBookedLinkAfterLegalSteps) {
+  FakeSim sim(Mesh::square(4), 2, QueueLayout::Central);
+  const PacketId a = sim.add(0, 3);
+  const PacketId b = sim.add(0, 3);
+  const PacketId c = sim.add(0, 7);
+  const PacketId f = sim.add(0, 7);
+  LinkCapacityOracle oracle;
+  // Step 1: a crosses 0→east.
+  sim.place(a, 1);
+  const std::vector<MoveRecord> step1 = {{a, 0, 1, Dir::East, false}};
+  EXPECT_EQ(violation([&] { oracle.on_step(sim, digest_at(1, step1)); }), "");
+  // Step 2: a moves again and b takes the link a used in step 1 — legal.
+  sim.set_location(a, 2);
+  sim.place(b, 1);
+  const std::vector<MoveRecord> step2 = {{a, 1, 2, Dir::East, false},
+                                         {b, 0, 1, Dir::East, false}};
+  EXPECT_EQ(violation([&] { oracle.on_step(sim, digest_at(2, step2)); }), "");
+  // Step 3: c and f both cross 0→east.
+  sim.place(c, 1);
+  sim.place(f, 1);
+  const std::vector<MoveRecord> step3 = {{c, 0, 1, Dir::East, false},
+                                         {f, 0, 1, Dir::East, false}};
+  const std::string msg =
+      violation([&] { oracle.on_step(sim, digest_at(3, step3)); });
+  EXPECT_NE(msg.find("carried two packets in step 3"), std::string::npos)
+      << msg;
+}
+
+TEST(LinkCapacityOracle, ResizesWhenReusedOnALargerSim) {
+  LinkCapacityOracle oracle;
+  {
+    FakeSim small(Mesh::square(4), 2, QueueLayout::Central);
+    const PacketId p = small.add(0, 3);
+    small.place(p, 1);
+    const std::vector<MoveRecord> moves = {{p, 0, 1, Dir::East, false}};
+    EXPECT_EQ(violation([&] { oracle.on_step(small, digest_at(1, moves)); }),
+              "");
+  }
+  // A larger mesh and more packets: node and packet ids beyond the first
+  // sim's tables, plus the ids the first sim stamped.
+  FakeSim large(Mesh::square(9), 2, QueueLayout::Central);
+  std::vector<PacketId> ids;
+  for (int i = 0; i < 50; ++i) ids.push_back(large.add(0, 80));
+  std::vector<MoveRecord> moves;
+  moves.push_back({ids[0], 0, 1, Dir::East, false});
+  large.place(ids[0], 1);
+  for (int i = 1; i < 50; ++i) {
+    // Packet i crosses the north link of node 9 + i (rows 1–6).
+    const NodeId from = 9 + i;
+    large.place(ids[static_cast<std::size_t>(i)], from + 9);
+    moves.push_back({ids[static_cast<std::size_t>(i)], from, from + 9,
+                     Dir::North, false});
+  }
+  EXPECT_EQ(violation([&] { oracle.on_step(large, digest_at(1, moves)); }), "");
+  // The grown tables still catch a repeat among the new ids.
+  const std::vector<MoveRecord> twice = {
+      {ids[49], 79, 80, Dir::East, true}, {ids[49], 71, 80, Dir::North, true}};
+  large.mark_delivered(ids[49], 2);
+  const std::string msg =
+      violation([&] { oracle.on_step(large, digest_at(2, twice)); });
+  EXPECT_NE(msg.find("moved twice in step 2"), std::string::npos) << msg;
+}
+
+TEST(LinkCapacityOracle, FiresOnUnknownPacketId) {
+  FakeSim sim(Mesh::square(4), 2, QueueLayout::Central);
+  sim.place(sim.add(0, 5), 1);
+  const std::vector<MoveRecord> moves = {{7, 0, 1, Dir::East, false}};
+  LinkCapacityOracle oracle;
+  const std::string msg =
+      violation([&] { oracle.on_step(sim, digest_at(1, moves)); });
+  EXPECT_NE(msg.find("unknown packet 7"), std::string::npos) << msg;
+}
+
+TEST(LinkCapacityOracle, FiresOnDoubleBookedTorusWrapLink) {
+  const Mesh torus = Mesh::square(4, /*torus=*/true);
+  FakeSim sim(torus, 2, QueueLayout::Central);
+  const PacketId a = sim.add(3, 1);
+  const PacketId b = sim.add(3, 2);
+  sim.place(a, 0);
+  sim.place(b, 0);
+  // Both packets cross the wrap link 3→east→0 in the same step.
+  ASSERT_EQ(torus.neighbor(3, Dir::East), 0);
+  const std::vector<MoveRecord> moves = {{a, 3, 0, Dir::East, false},
+                                         {b, 3, 0, Dir::East, false}};
+  LinkCapacityOracle oracle;
+  const std::string msg =
+      violation([&] { oracle.on_step(sim, digest_at(1, moves)); });
+  EXPECT_NE(msg.find("[oracle:link-capacity]"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("carried two packets"), std::string::npos) << msg;
+}
+
 // --- ProfitableMoveOracle ------------------------------------------------
 
 TEST(ProfitableMoveOracle, SilentOnProfitableHop) {
@@ -445,6 +540,43 @@ TEST(TraceOracles, FiresOnDoubleBookedLink) {
   const std::string msg =
       run_trace_oracles(events, mesh, packets, 2, QueueLayout::Central);
   EXPECT_NE(msg.find("link"), std::string::npos) << msg;
+}
+
+TEST(TraceOracles, ReusedLinkInALaterStepPassesAndDoubleMoveFires) {
+  const Mesh mesh = Mesh::square(4);
+  std::vector<Packet> packets(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    packets[i].id = static_cast<PacketId>(i);
+    packets[i].source = 0;
+    packets[i].dest = 3;
+  }
+  std::vector<TraceEvent> events = {
+      {TraceEventKind::Move, 1, 0, 0, 1},
+      {TraceEventKind::Move, 2, 0, 1, 2},
+      {TraceEventKind::Move, 2, 1, 0, 1},  // the link packet 0 used at step 1
+  };
+  EXPECT_EQ(run_trace_oracles(events, mesh, packets, 2, QueueLayout::Central),
+            "");
+  events.push_back({TraceEventKind::Move, 3, 1, 1, 2});
+  events.push_back({TraceEventKind::Move, 3, 1, 1, 5});  // moves again
+  EXPECT_EQ(run_trace_oracles(events, mesh, packets, 2, QueueLayout::Central),
+            "a packet moved twice in step 3");
+}
+
+TEST(TraceOracles, FiresOnDoubleBookedTorusWrapLink) {
+  const Mesh torus = Mesh::square(4, /*torus=*/true);
+  std::vector<Packet> packets(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    packets[i].id = static_cast<PacketId>(i);
+    packets[i].source = 3;
+    packets[i].dest = 1;
+  }
+  const std::vector<TraceEvent> events = {
+      {TraceEventKind::Move, 1, 0, 3, 0},
+      {TraceEventKind::Move, 1, 1, 3, 0},  // same wrap link, same step
+  };
+  EXPECT_EQ(run_trace_oracles(events, torus, packets, 2, QueueLayout::Central),
+            "a directed link carried two packets in step 1");
 }
 
 TEST(TraceOracles, FiresOnQueueOverflow) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "topo/cmesh.hpp"
 #include "topo/mesh.hpp"
 
 namespace mr {
@@ -106,7 +112,7 @@ void check_wrap_ties(const Mesh& t) {
       const std::int32_t fwd_row = ((cb.row - ca.row) % h + h) % h;
       const bool col_tie = w % 2 == 0 && fwd_col == w / 2;
       const bool row_tie = h % 2 == 0 && fwd_row == h / 2;
-      const Mesh::Delta d = t.delta(a, b);
+      const Delta d = t.delta(a, b);
       EXPECT_EQ(d.east_tie, col_tie) << a << "->" << b;
       EXPECT_EQ(d.north_tie, row_tie) << a << "->" << b;
       const DirMask mask = t.profitable_dirs(a, b);
@@ -142,7 +148,7 @@ TEST(Mesh, OddTorusNeverTies) {
   const Mesh t(5, 7, /*torus=*/true);
   for (NodeId a = 0; a < t.num_nodes(); ++a)
     for (NodeId b = 0; b < t.num_nodes(); ++b) {
-      const Mesh::Delta d = t.delta(a, b);
+      const Delta d = t.delta(a, b);
       EXPECT_FALSE(d.east_tie);
       EXPECT_FALSE(d.north_tie);
     }
@@ -152,10 +158,64 @@ TEST(Mesh, FlatMeshNeverTies) {
   const Mesh m = Mesh::square(8);
   for (NodeId a = 0; a < m.num_nodes(); ++a)
     for (NodeId b = 0; b < m.num_nodes(); ++b) {
-      const Mesh::Delta d = m.delta(a, b);
+      const Delta d = m.delta(a, b);
       EXPECT_FALSE(d.east_tie);
       EXPECT_FALSE(d.north_tie);
     }
+}
+
+// Reference check of the whole edge/distance kernel: on small grids,
+// `distance` equals the BFS hop count over `neighbor`, and
+// `profitable_dirs` holds exactly the directions whose neighbour is one
+// hop closer (both directions of a wrap tie included).
+std::vector<std::int32_t> bfs_hops(const Topology& t, NodeId from) {
+  std::vector<std::int32_t> hops(static_cast<std::size_t>(t.num_nodes()), -1);
+  std::deque<NodeId> frontier{from};
+  hops[static_cast<std::size_t>(from)] = 0;
+  while (!frontier.empty()) {
+    const NodeId u = frontier.front();
+    frontier.pop_front();
+    for (Dir d : kAllDirs) {
+      const NodeId v = t.neighbor(u, d);
+      if (v == kInvalidNode || hops[static_cast<std::size_t>(v)] >= 0) continue;
+      hops[static_cast<std::size_t>(v)] = hops[static_cast<std::size_t>(u)] + 1;
+      frontier.push_back(v);
+    }
+  }
+  return hops;
+}
+
+void check_kernel_against_bfs(const Topology& t) {
+  SCOPED_TRACE(t.name() + " " + std::to_string(t.width()) + "x" +
+               std::to_string(t.height()));
+  for (NodeId to = 0; to < t.num_nodes(); ++to) {
+    // Hop counts towards `to` equal hop counts from it: links come in
+    // opposite pairs on every grid.
+    const std::vector<std::int32_t> hops = bfs_hops(t, to);
+    for (NodeId from = 0; from < t.num_nodes(); ++from) {
+      const std::int32_t h = hops[static_cast<std::size_t>(from)];
+      ASSERT_GE(h, 0) << from << " cannot reach " << to;
+      EXPECT_EQ(t.distance(from, to), h) << from << "->" << to;
+      DirMask closer = 0;
+      for (Dir d : kAllDirs) {
+        const NodeId nb = t.neighbor(from, d);
+        if (nb != kInvalidNode && hops[static_cast<std::size_t>(nb)] == h - 1)
+          closer |= dir_bit(d);
+      }
+      EXPECT_EQ(t.profitable_dirs(from, to), closer) << from << "->" << to;
+    }
+  }
+}
+
+TEST(TopologyKernel, MatchesBfsOnSmallGrids) {
+  const std::vector<std::pair<std::int32_t, std::int32_t>> dims = {
+      {1, 6}, {6, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 3}, {4, 4}, {5, 5}};
+  for (const auto& [w, h] : dims) {
+    check_kernel_against_bfs(Mesh(w, h));
+    check_kernel_against_bfs(Mesh(w, h, /*torus=*/true));
+  }
+  check_kernel_against_bfs(CMesh(3, 4, 4));
+  check_kernel_against_bfs(CMesh(4, 4, 4));
 }
 
 }  // namespace
