@@ -2,15 +2,17 @@
 // segment kind at every iteration, compares the measured last useful step
 // (the last step in which a packet moved) against the lemma's duration
 // budget, and the measured peak per-node staging/active occupancy against
-// the lemma's queue bound. The online checks inside FastRouteAlgorithm
-// already abort on violation; this table shows the slack.
+// the lemma's queue bound. FastRouteOracle aborts the run on any lemma
+// violation and measures the per-segment activity; this table shows the
+// slack.
 #include <algorithm>
 #include <map>
 
+#include "check/fastroute_oracle.hpp"
 #include "fastroute/bounds.hpp"
 #include "fastroute/fastroute.hpp"
+#include "harness/runner.hpp"
 #include "scenarios.hpp"
-#include "sim/engine.hpp"
 #include "topo/mesh.hpp"
 #include "workload/permutation.hpp"
 
@@ -24,18 +26,20 @@ void register_e10(ScenarioRegistry& registry) {
   spec.paper_ref = "Lemmas 21-32, Figures 5-7";
   spec.body = [](ScenarioReport& ctx) {
     const std::int32_t n = ctx.scale() == Scale::Small ? 27 : 81;
-    const Mesh mesh = Mesh::square(n);
-    FastRouteAlgorithm algo;
-    Engine::Config config;
-    config.queue_capacity = algo.queue_bound();
-    config.stall_limit = 0;
-    Engine e(mesh, config, algo);
-    for (const Demand& d : random_permutation(mesh, 5))
-      e.add_packet(d.source, d.dest, d.injected_at);
-    e.prepare();
-    e.run(algo.schedule_length() + 1);
-    ctx.check("all-delivered", e.all_delivered());
-    if (!e.all_delivered()) {
+    const FastRouteAlgorithm algo;
+    FastRouteOracle oracle(n, algo.options());
+    RunSpec run;
+    run.width = run.height = n;
+    run.algorithm = algo.name();
+    run.queue_capacity = algo.queue_bound();
+    run.stall_limit = 0;
+    run.max_steps = oracle.schedule().length + 1;
+    RunHooks hooks;
+    hooks.step_observers.push_back(&oracle);
+    const RunResult r =
+        run_workload(run, random_permutation(Mesh::square(n), 5), hooks);
+    ctx.check("all-delivered", r.all_delivered);
+    if (!r.all_delivered) {
       ctx.note("ERROR: not all packets delivered");
       return;
     }
@@ -49,12 +53,15 @@ void register_e10(ScenarioRegistry& registry) {
       int count = 0;
     };
     std::map<std::pair<int, int>, Agg> aggs;
-    for (const auto& seg : algo.segments()) {
+    const auto& segments = oracle.schedule().segments;
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      const auto& seg = segments[i];
+      const FastRouteOracle::SegmentStats& st = oracle.stats()[i];
       Agg& a = aggs[{static_cast<int>(seg.kind), seg.j}];
       a.budget = seg.length;
-      a.max_last_move = std::max(a.max_last_move, seg.last_move_offset);
-      a.moves += seg.moves;
-      a.peak = std::max(a.peak, seg.peak_active_per_node);
+      a.max_last_move = std::max(a.max_last_move, st.last_move_offset);
+      a.moves += st.moves;
+      a.peak = std::max(a.peak, st.peak_per_node);
       ++a.count;
     }
 
@@ -85,13 +92,12 @@ void register_e10(ScenarioRegistry& registry) {
     }
     ctx.table(table);
     ctx.note("n = " + std::to_string(n) + "; schedule length = " +
-             std::to_string(algo.schedule_length()) +
-             " steps; engine peak queue = " +
-             std::to_string(e.max_occupancy_seen()) + " (Lemma 28 bound " +
-             std::to_string(algo.queue_bound()) + ").");
+             std::to_string(oracle.schedule().length) +
+             " steps; engine peak queue = " + std::to_string(r.max_queue) +
+             " (Lemma 28 bound " + std::to_string(algo.queue_bound()) + ").");
     ctx.check("last-useful-step-within-lemma-budget", budgets_hold);
     ctx.check("engine-peak-queue-under-lemma28",
-              e.max_occupancy_seen() <= algo.queue_bound());
+              r.max_queue <= algo.queue_bound());
   };
   registry.add(std::move(spec));
 }

@@ -17,9 +17,13 @@ struct FastRouteBounds {
   /// Lemma 29: the March takes at most q·d − 1 steps.
   Step march_steps(std::int64_t d) const { return q * d - 1; }
 
-  /// Lemma 30: Sort and Smooth takes at most 2·((d−1) + q·d) steps.
+  /// Lemma 30: each Sort and Smooth substep (even, then odd destination
+  /// strips) takes at most (d−1) + q·d steps, the whole phase twice that.
+  Step sort_smooth_substep_steps(std::int64_t d) const {
+    return (d - 1) + q * d;
+  }
   Step sort_smooth_steps(std::int64_t d) const {
-    return 2 * ((d - 1) + q * d);
+    return 2 * sort_smooth_substep_steps(d);
   }
 
   /// Lemma 31: Horizontal Balancing takes at most 3h − 4 steps on an h×h

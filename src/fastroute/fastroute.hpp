@@ -11,31 +11,53 @@
 // by ≤ 14 steps of farthest-first dimension-order routing (Lemma 32).
 //
 // Every phase has an a-priori duration (Lemmas 29–31), so nodes need no
-// global communication: the whole schedule is a fixed timeline computed
-// from n and q. The implementation runs through the standard Engine (which
-// enforces minimality and queue capacity) with this class as the Algorithm;
-// all per-phase rules are expressed in a canonical coordinate frame
-// (rotation per class, plus a transpose for horizontal phases) so the
-// Vertical Phase code serves all eight phase variants.
+// global communication: the whole schedule is a fixed timeline, a pure
+// function of (n, q0, q_later) that every instance builds for itself. All
+// per-phase rules are expressed in a canonical coordinate frame (rotation
+// per class, plus a transpose for horizontal phases) so the Vertical Phase
+// code serves all eight phase variants.
 //
-// The implementation checks the paper's per-phase lemmas online:
-//   * March ends with every active packet in its staging strip (Lemma 29),
-//   * Sort&Smooth ends with every active packet in strip i−2 (Lemma 30),
-//   * Balancing ends with ≤ 2 active packets per node (Lemmas 24/31),
-//   * the 2-rule never selects a packet with nothing left to gain
-//     (Lemmas 16/17: no overshoot),
-//   * the base case drains within its 14 steps (Lemma 32).
+// The router keeps no routing state of its own: everything it remembers
+// lives in the Sim's state words, so snapshots carry it and every row band
+// of a sharded engine reads the same state.
+//   * Packet::state — bit 0 participates, bit 1 active (both frozen at the
+//     March entry, or the base-case entry), bit 2 forward (Sort&Smooth: the
+//     receiving node passes it on), bit 3 moved north (its last arrival was
+//     a canonical-north hop, judged in the frame of the segment the hop
+//     happened in), bit 4 parked (it cannot move again before the subphase
+//     ends: on the top row of its staging strip in a March, held in strip
+//     i−2 in a Sort&Smooth substep; lets idle nodes skip the frame
+//     geometry), bits 8–15 the canonical destination strip (frozen with the
+//     flags).
+//   * Sim::node_state — bits 0–30 a counter: the staging occupancy in a
+//     March, the received count in a Sort&Smooth substep, the active
+//     occupancy in a Balance; bit 31 settled (no packet here can be
+//     scheduled before the segment ends unless another arrives, so
+//     plan_out returns at once); bits 32–47 the node's occupancy when the
+//     word was written, so a node whose packets did not change is not
+//     recounted; bits 48–63 the index + 1 of the segment that wrote it, so
+//     a word stamped by another segment reads as 0 and an empty node never
+//     needs a reset.
+// update_state folds the step's arrivals in (in packet-id order) and, at a
+// segment's last step, freezes the next segment's flags and recounts its
+// node counters.
+//
+// The per-phase lemmas (29–32) are checked by FastRouteOracle
+// (check/fastroute_oracle.hpp), which also measures per-segment activity;
+// the router itself only asserts the no-overshoot invariant of the 2-rule
+// (Lemmas 16/17).
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/algorithm.hpp"
-#include "sim/engine.hpp"
 
 namespace mr {
+
+class Sim;
 
 class FastRouteAlgorithm final : public Algorithm {
  public:
@@ -49,17 +71,6 @@ class FastRouteAlgorithm final : public Algorithm {
     static Options improved() { return Options{408, 102}; }
   };
 
-  explicit FastRouteAlgorithm(Options options = Options::baseline());
-
-  std::string name() const override { return "fastroute"; }
-  bool minimal() const override { return true; }
-
-  void init(Sim& e) override;
-  void plan_out(Sim& e, NodeId u, OutPlan& plan) override;
-  void plan_in(Sim& e, NodeId v, std::span<const Offer> offers,
-               InPlan& plan) override;
-
-  // ---- schedule introspection (tests / E09 / E10) ----------------------
   enum class Kind : std::uint8_t {
     March,
     SortSmoothEven,
@@ -68,79 +79,94 @@ class FastRouteAlgorithm final : public Algorithm {
     BaseCase,
   };
 
+  /// One segment of the timeline, with its canonical frame.
   struct Segment {
     Kind kind = Kind::March;
     int cls = 0;        ///< 0 NE, 1 NW, 2 SW, 3 SE
     int j = 0;          ///< iteration
     int tiling = 0;     ///< 0..2
     bool horizontal = false;  ///< part of a Horizontal Phase (transposed)
-    std::int32_t tile = 0;    ///< tile side T
-    std::int32_t d = 0;       ///< strip height T/27 (0 for base case)
-    Step start = 0;           ///< segment covers steps (start, start+len]
+    std::int32_t tile = 0;    ///< tile side T (0 for the base case)
+    std::int32_t d = 0;       ///< strip height T/27 (0 for the base case)
+    Step start = 0;           ///< segment covers steps (start, start+length]
     Step length = 0;
-    // measured during the run:
-    Step last_move_offset = 0;  ///< last step-within-segment that moved
-    std::int64_t moves = 0;
-    int peak_active_per_node = 0;
+    int q = 408;              ///< March staging capacity
+    std::int32_t n = 0;       ///< mesh side
+    Dir north = Dir::North;   ///< real direction of canonical north
+    Dir east = Dir::East;     ///< real direction of canonical east
+
+    Step end() const { return start + length; }
+    /// Canonical coordinates: `cls` clockwise quarter-turns, then a
+    /// transpose in horizontal phases.
+    Coord canon(Coord real) const;
+    /// Canonical row offset from the SW corner of the node's tile.
+    std::int32_t row_in_tile(Coord canon) const;
+    /// Strip (of height d) of a canonical coordinate within its tile.
+    std::int32_t strip_of(Coord canon) const { return row_in_tile(canon) / d; }
+    bool same_tile(Coord canon_a, Coord canon_b) const;
   };
 
-  const std::vector<Segment>& segments() const { return segments_; }
-  Step schedule_length() const { return schedule_length_; }
+  /// The fixed §6 timeline for an n×n mesh: a pure function of
+  /// (n, q0, q_later). Throws unless n is a power of 3 and n ≥ 27.
+  struct Schedule {
+    Schedule(std::int32_t n, Options options);
+
+    std::int32_t n;
+    std::vector<Segment> segments;
+    Step length = 0;  ///< total steps
+
+    /// Index of the segment containing step t (1-based), or
+    /// segments.size() past the end of the schedule. O(1).
+    std::size_t segment_at(Step t) const {
+      return t > length ? segments.size()
+                        : segment_of_step[static_cast<std::size_t>(t)];
+    }
+
+   private:
+    /// segment_at for steps 0..length (step 0 maps to segment 0).
+    std::vector<std::uint16_t> segment_of_step;
+  };
+
+  explicit FastRouteAlgorithm(Options options = Options::baseline());
+
+  /// "fastroute", or "fastroute-improved" when q_later < q0.
+  std::string name() const override;
+  bool minimal() const override { return true; }
+
+  void init(Sim& e) override;
+  void plan_out(Sim& e, NodeId u, OutPlan& plan) override;
+  void plan_in(Sim& e, NodeId v, std::span<const Offer> offers,
+               InPlan& plan) override;
+  void update_state(Sim& e, NodeId v) override;
+
+  const Options& options() const { return options_; }
   static const char* kind_name(Kind k);
   static const char* class_name(int cls);
 
   /// Total queue bound the engine should be configured with (Lemma 28).
-  int queue_bound() const { return 2 * options_.q0 + 18; }
+  int queue_bound() const;
 
  private:
-  struct ClassInfo;  // per-packet bookkeeping
+  const Schedule& schedule_for(const Sim& e);
+  void enter_segment(Sim& e, NodeId v, std::size_t idx) const;
+  void summarize(Sim& e, NodeId v, std::size_t idx,
+                 std::uint32_t received) const;
 
-  void build_schedule(std::int32_t n);
-  void refresh(Sim& e);
-  void enter_segment(Sim& e, std::size_t idx);
-  void check_segment_end(Sim& e, const Segment& seg);
-  void detect_moves(Sim& e);
-
-  // canonical-frame helpers for the current segment
-  Coord to_canon(Coord real) const;
-  Dir canon_north_real() const;
-  Dir canon_east_real() const;
-  std::int32_t strip_of(Coord canon) const;          // within its tile
-  std::int32_t tile_origin_row(Coord canon) const;   // canonical tile row0
-  std::int32_t tile_origin_col(Coord canon) const;
-
-  void plan_march(Sim& e, NodeId u, OutPlan& plan);
-  void plan_sort_smooth(Sim& e, NodeId u, OutPlan& plan, bool even);
-  void plan_balance(Sim& e, NodeId u, OutPlan& plan);
-  void plan_base_case(Sim& e, NodeId u, OutPlan& plan);
+  void plan_march(Sim& e, NodeId u, OutPlan& plan, std::size_t idx) const;
+  void plan_sort_smooth(Sim& e, NodeId u, OutPlan& plan, std::size_t idx,
+                        bool even) const;
+  void plan_balance(Sim& e, NodeId u, OutPlan& plan, std::size_t idx) const;
+  void plan_base_case(Sim& e, NodeId u, OutPlan& plan,
+                      std::size_t idx) const;
 
   Options options_;
-  std::int32_t n_ = 0;
-  std::vector<Segment> segments_;
-  Step schedule_length_ = 0;
-
-  // per-packet state
-  std::vector<int> packet_class_;        // 0..3
-  std::vector<NodeId> prev_location_;    // real node ids
-  std::vector<Step> moved_north_at_;     // last step moved canonical north
-  // subphase-frozen flags
-  std::vector<std::uint8_t> participates_;
-  std::vector<std::uint8_t> active_;
-  std::vector<std::int32_t> dest_strip_;   // canonical, frozen per subphase
-  std::vector<std::uint8_t> ss_forward_;   // Sort&Smooth: forward (not hold)
-
-  // per-node state (indexed by real NodeId)
-  std::vector<std::int32_t> staged_count_;   // March staging occupancy
-  std::vector<std::int64_t> ss_received_;    // Sort&Smooth receive counters
-  std::vector<std::int32_t> active_count_;   // active participants per node
-
-  std::size_t current_segment_ = 0;
-  Step cached_step_ = -1;
-  int rotation_ = 0;       // class rotation count for current segment
-  bool transposed_ = false;
-  int q_ = 408;            // q for current segment
-  Dir canon_north_ = Dir::North;  // real direction of canonical north
-  Dir canon_east_ = Dir::East;    // real direction of canonical east
+  /// Built on first use from the mesh side; identical in every instance.
+  std::optional<Schedule> schedule_;
 };
+
+/// Direction class of a packet from its source→destination displacement:
+/// 0 NE (north or northeast), 1 NW (west or northwest), 2 SW (south or
+/// southwest), 3 SE (east or southeast; also source == destination).
+int fastroute_class(Coord src, Coord dst);
 
 }  // namespace mr

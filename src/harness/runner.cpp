@@ -115,7 +115,6 @@ RunResult run_workload(const RunSpec& spec, const Workload& workload,
   }
   if (telemetry.profile) engine.set_phase_profiling(true);
 
-  for (Observer* o : hooks.observers) engine.add_observer(o);
   for (StepObserver* o : hooks.step_observers) engine.add_observer(o);
 
   if (resume) {

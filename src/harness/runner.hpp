@@ -120,7 +120,6 @@ struct RunSpec {
 /// the pointees are deliberately non-const.
 struct RunHooks {
   StepInterceptor* interceptor = nullptr;
-  std::vector<Observer*> observers;
   std::vector<StepObserver*> step_observers;
   /// Open-loop traffic source pumped on top of the (possibly empty) batch
   /// workload; see RunSpec::traffic_steps.

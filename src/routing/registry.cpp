@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "core/assert.hpp"
+#include "fastroute/fastroute.hpp"
 #include "routing/adaptive.hpp"
 #include "routing/bounded_dimension_order.hpp"
 #include "routing/dimension_order.hpp"
@@ -67,6 +68,10 @@ std::unique_ptr<Algorithm> make_algorithm(const AlgorithmSpec& spec) {
   if (name == "emps") return std::make_unique<EmpsRouter>();
   if (name == "bounded-dimension-order")
     return std::make_unique<BoundedDimensionOrderRouter>();
+  if (name == "fastroute") return std::make_unique<FastRouteAlgorithm>();
+  if (name == "fastroute-improved")
+    return std::make_unique<FastRouteAlgorithm>(
+        FastRouteAlgorithm::Options::improved());
   if (name == "stray" || name.rfind("stray-", 0) == 0) {
     const AlgorithmParams& p = name == "stray"
                                    ? spec.params

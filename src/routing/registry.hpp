@@ -40,7 +40,11 @@ const std::vector<AlgorithmInfo>& algorithm_catalog();
 /// Creates a fresh instance from a typed spec. Throws InvariantViolation
 /// for unknown names or out-of-range parameters. Known names: those in
 /// algorithm_catalog(), plus the bare "stray" (parameterised by
-/// params.stray_bound / params.stray_block_threshold).
+/// params.stray_bound / params.stray_block_threshold) and the §6 router
+/// "fastroute" / "fastroute-improved". The §6 router stays out of the
+/// catalog: it needs an n×n mesh with n = 3^i ≥ 27, a queue capacity of at
+/// least 834 (FastRouteAlgorithm::queue_bound) and no stall limit, since
+/// its schedule has long idle phases.
 std::unique_ptr<Algorithm> make_algorithm(const AlgorithmSpec& spec);
 
 /// String convenience wrapper: parses "stray-N" into an AlgorithmSpec with

@@ -146,8 +146,7 @@ class Snapshottable {
 };
 
 /// Where (and how often) a run persists checkpoints. Shared by the batch
-/// harness (RunSpec), the steady-state runner (SteadyStateSpec) and the
-/// daemon. `key` names the run inside `dir`: the engine snapshot lives at
+/// harness (RunSpec) and the steady-state runner (SteadyStateSpec). `key` names the run inside `dir`: the engine snapshot lives at
 /// <dir>/<key>.ckpt and the finished-result record at
 /// <dir>/<key>.done.json. A run started with an existing store resumes:
 /// a .done.json short-circuits to the recorded result, a .ckpt restores

@@ -3,42 +3,35 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include "check/fastroute_oracle.hpp"
 #include "fastroute/bounds.hpp"
 #include "fastroute/fastroute.hpp"
-#include "sim/engine.hpp"
+#include "harness/runner.hpp"
 #include "topo/mesh.hpp"
 #include "workload/permutation.hpp"
 
 namespace mr {
 namespace {
 
-struct FastRun {
-  Step steps = 0;
-  bool delivered = false;
-  int max_queue = 0;
-};
-
-FastRun go(std::int32_t n, const Workload& w,
-       FastRouteAlgorithm::Options options =
-           FastRouteAlgorithm::Options::baseline()) {
-  const Mesh mesh = Mesh::square(n);
-  FastRouteAlgorithm algo(options);
-  Engine::Config config;
-  config.queue_capacity = algo.queue_bound();
-  config.stall_limit = 0;
-  Engine e(mesh, config, algo);
-  for (const Demand& d : w) e.add_packet(d.source, d.dest, d.injected_at);
-  e.prepare();
-  FastRun r;
-  r.steps = e.run(algo.schedule_length() + 1);
-  r.delivered = e.all_delivered();
-  r.max_queue = e.max_occupancy_seen();
-  return r;
+RunResult go(std::int32_t n, const Workload& w,
+             FastRouteOracle* lemmas = nullptr) {
+  const FastRouteAlgorithm algo;
+  FastRouteOracle own(n, algo.options());
+  if (lemmas == nullptr) lemmas = &own;
+  RunSpec spec;
+  spec.width = spec.height = n;
+  spec.algorithm = algo.name();
+  spec.queue_capacity = algo.queue_bound();
+  spec.stall_limit = 0;
+  spec.max_steps = lemmas->schedule().length + 1;
+  RunHooks hooks;
+  hooks.step_observers.push_back(lemmas);
+  return run_workload(spec, w, hooks);
 }
 
 TEST(FastRouteExtra, EmptyWorkload) {
-  const FastRun r = go(27, {});
-  EXPECT_TRUE(r.delivered);
+  const RunResult r = go(27, {});
+  EXPECT_TRUE(r.all_delivered);
   EXPECT_EQ(r.steps, 0);
 }
 
@@ -54,23 +47,23 @@ TEST(FastRouteExtra, AllFourDirectionClasses) {
   w.push_back(Demand{mesh.id_of(20, 8), mesh.id_of(4, 8), 0});    // W (NW)
   w.push_back(Demand{mesh.id_of(9, 20), mesh.id_of(9, 4), 0});    // S (SW)
   w.push_back(Demand{mesh.id_of(3, 13), mesh.id_of(22, 13), 0});  // E (SE)
-  const FastRun r = go(27, w);
-  EXPECT_TRUE(r.delivered);
+  const RunResult r = go(27, w);
+  EXPECT_TRUE(r.all_delivered);
 }
 
 TEST(FastRouteExtra, SelfDeliveries) {
   const Mesh mesh = Mesh::square(27);
   Workload w;
   for (NodeId u = 0; u < 27; ++u) w.push_back(Demand{u, u, 0});
-  const FastRun r = go(27, w);
-  EXPECT_TRUE(r.delivered);
+  const RunResult r = go(27, w);
+  EXPECT_TRUE(r.all_delivered);
   EXPECT_EQ(r.steps, 0);  // everything delivered at injection
 }
 
 TEST(FastRouteExtra, HalfLoadPartialPermutation) {
   const Mesh mesh = Mesh::square(27);
-  const FastRun r = go(27, random_partial_permutation(mesh, 0.5, 9));
-  EXPECT_TRUE(r.delivered);
+  const RunResult r = go(27, random_partial_permutation(mesh, 0.5, 9));
+  EXPECT_TRUE(r.all_delivered);
 }
 
 TEST(FastRouteExtra, AdjacentDestinations) {
@@ -81,68 +74,81 @@ TEST(FastRouteExtra, AdjacentDestinations) {
   for (std::int32_t c = 0; c + 1 < 27; c += 2)
     for (std::int32_t r = 0; r < 27; r += 2)
       w.push_back(Demand{mesh.id_of(c, r), mesh.id_of(c + 1, r), 0});
-  const FastRun r = go(27, w);
-  EXPECT_TRUE(r.delivered);
+  const RunResult r = go(27, w);
+  EXPECT_TRUE(r.all_delivered);
 }
 
 TEST(FastRouteExtra, RotationWorkload) {
   const Mesh mesh = Mesh::square(27);
-  const FastRun r = go(27, rotation(mesh, 13, 7));
-  EXPECT_TRUE(r.delivered);
+  const RunResult r = go(27, rotation(mesh, 13, 7));
+  EXPECT_TRUE(r.all_delivered);
   EXPECT_LE(r.steps, FastRouteBounds::theorem34_steps(27));
 }
 
+TEST(FastRouteExtra, SegmentStatsAccountForEveryMove) {
+  // The oracle's per-segment counts cover every hop of the run, the last
+  // step's deliveries included.
+  FastRouteOracle lemmas(27, FastRouteAlgorithm::Options::baseline());
+  const Workload w = random_permutation(Mesh::square(27), 4);
+  const RunResult r = go(27, w, &lemmas);
+  ASSERT_TRUE(r.all_delivered);
+  std::int64_t moves = 0;
+  for (const FastRouteOracle::SegmentStats& st : lemmas.stats())
+    moves += st.moves;
+  // total_moves counts the hops that arrive; each packet not born at its
+  // destination also makes one delivering hop.
+  std::int64_t delivering_hops = 0;
+  for (const Demand& d : w) delivering_hops += d.source != d.dest;
+  EXPECT_EQ(moves, r.total_moves + delivering_hops);
+  const auto& last = lemmas.schedule().segments.back();
+  EXPECT_EQ(lemmas.stats().back().last_move_offset, r.steps - last.start);
+}
+
 TEST(FastRouteExtra, ScheduleAccounting) {
-  FastRouteAlgorithm algo;
-  const Mesh mesh = Mesh::square(81);
-  Engine::Config config;
-  config.queue_capacity = algo.queue_bound();
-  Engine e(mesh, config, algo);
-  e.add_packet(0, mesh.num_nodes() - 1);
-  e.prepare();
-  // Segments are contiguous, cover [0, schedule_length), and respect the
+  const FastRouteAlgorithm::Schedule schedule(
+      81, FastRouteAlgorithm::Options::baseline());
+  // Segments are contiguous, cover [0, length), and respect the
   // per-iteration structure: j=0 has 1 tiling, j=1 has 3, each phase is
   // March, SSeven, SSodd, Balance; plus one base case per class.
   Step expected_start = 0;
   int base_cases = 0;
-  for (const auto& seg : algo.segments()) {
+  for (const auto& seg : schedule.segments) {
     EXPECT_EQ(seg.start, expected_start);
     EXPECT_GE(seg.length, 1);
+    EXPECT_EQ(schedule.segment_at(seg.start + 1),
+              schedule.segment_at(seg.end()));
+    EXPECT_EQ(&schedule.segments[schedule.segment_at(seg.end())], &seg);
     expected_start += seg.length;
     if (seg.kind == FastRouteAlgorithm::Kind::BaseCase) {
       ++base_cases;
       EXPECT_EQ(seg.length, FastRouteBounds::base_case_steps());
     }
     if (seg.kind == FastRouteAlgorithm::Kind::March) {
-      const int q = seg.j == 0 ? 408 : 408;
-      EXPECT_EQ(seg.length, Step(q) * seg.d - 1);
+      EXPECT_EQ(seg.length, Step(408) * seg.d - 1);
     }
-    if (seg.kind == FastRouteAlgorithm::Kind::Balance)
+    if (seg.kind == FastRouteAlgorithm::Kind::Balance) {
       EXPECT_EQ(seg.length, 3 * Step(seg.tile) - 4);
+    }
   }
-  EXPECT_EQ(expected_start, algo.schedule_length());
+  EXPECT_EQ(expected_start, schedule.length);
+  EXPECT_EQ(schedule.segment_at(schedule.length + 1),
+            schedule.segments.size());
   EXPECT_EQ(base_cases, 4);
   // n=81: per class (1 + 3) tilings × 2 phases × 4 segments + base = 33.
-  EXPECT_EQ(algo.segments().size(), 4u * (4u * 2u * 4u + 1u));
+  EXPECT_EQ(schedule.segments.size(), 4u * (4u * 2u * 4u + 1u));
 }
 
 TEST(FastRouteExtra, ImprovedScheduleUsesSmallerQ) {
-  FastRouteAlgorithm base(FastRouteAlgorithm::Options::baseline());
-  FastRouteAlgorithm improved(FastRouteAlgorithm::Options::improved());
-  const Mesh mesh = Mesh::square(81);
-  for (FastRouteAlgorithm* a : {&base, &improved}) {
-    Engine::Config config;
-    config.queue_capacity = a->queue_bound();
-    Engine e(mesh, config, *a);
-    e.add_packet(0, 5);
-    e.prepare();
-  }
+  const FastRouteAlgorithm::Schedule base(
+      81, FastRouteAlgorithm::Options::baseline());
+  const FastRouteAlgorithm::Schedule improved(
+      81, FastRouteAlgorithm::Options::improved());
   // Same number of segments, shorter j>=1 March/SS segments.
-  ASSERT_EQ(base.segments().size(), improved.segments().size());
+  ASSERT_EQ(base.segments.size(), improved.segments.size());
   bool some_shorter = false;
-  for (std::size_t i = 0; i < base.segments().size(); ++i) {
-    const auto& b = base.segments()[i];
-    const auto& m = improved.segments()[i];
+  for (std::size_t i = 0; i < base.segments.size(); ++i) {
+    const auto& b = base.segments[i];
+    const auto& m = improved.segments[i];
     EXPECT_EQ(int(b.kind), int(m.kind));
     if (b.j >= 1 && b.kind == FastRouteAlgorithm::Kind::March) {
       EXPECT_LT(m.length, b.length);
@@ -150,7 +156,7 @@ TEST(FastRouteExtra, ImprovedScheduleUsesSmallerQ) {
     }
   }
   EXPECT_TRUE(some_shorter);
-  EXPECT_LT(improved.schedule_length(), base.schedule_length());
+  EXPECT_LT(improved.length, base.length);
 }
 
 TEST(FastRouteExtra, KindAndClassNames) {

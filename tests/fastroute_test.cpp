@@ -1,54 +1,37 @@
 // §6 algorithm (Theorem 34): correctness (delivery + minimality), the
 // Lemma 28 queue bound, the Theorem 34 / improved step bounds, and the
 // Lemma 19 tiling cover property. The per-phase Lemmas 29–32 are checked
-// online by FastRouteAlgorithm itself (it throws on violation), so any
+// by FastRouteOracle on every run (it throws on violation), so any
 // completed run certifies them.
 #include <gtest/gtest.h>
 
+#include "check/fastroute_oracle.hpp"
+#include "check/oracles.hpp"
 #include "fastroute/bounds.hpp"
 #include "fastroute/fastroute.hpp"
 #include "fastroute/tiling.hpp"
-#include "sim/engine.hpp"
+#include "harness/runner.hpp"
 #include "topo/mesh.hpp"
 #include "workload/permutation.hpp"
 
 namespace mr {
 namespace {
 
-struct FastRunResult {
-  Step steps = 0;
-  bool all_delivered = false;
-  int max_queue = 0;
-  Step schedule_length = 0;
-};
-
-FastRunResult run_fastroute(std::int32_t n, const Workload& w,
-                            FastRouteAlgorithm::Options options =
-                                FastRouteAlgorithm::Options::baseline()) {
-  const Mesh mesh = Mesh::square(n);
-  FastRouteAlgorithm algo(options);
-  Engine::Config config;
-  config.queue_capacity = 2 * options.q0 + 18;  // Lemma 28
-  config.stall_limit = 0;  // idle phases are part of the schedule
-  Engine e(mesh, config, algo);
-  for (const Demand& d : w) e.add_packet(d.source, d.dest, d.injected_at);
-
-  struct MinimalityCheck : Observer {
-    void on_move(const Sim& eng, const Packet& p, NodeId from,
-                 NodeId to) override {
-      ASSERT_EQ(eng.mesh().distance(to, p.dest),
-                eng.mesh().distance(from, p.dest) - 1);
-    }
-  } minimal;
-  e.add_observer(&minimal);
-  e.prepare();
-
-  FastRunResult r;
-  r.schedule_length = algo.schedule_length();
-  r.steps = e.run(algo.schedule_length() + 1);
-  r.all_delivered = e.all_delivered();
-  r.max_queue = e.max_occupancy_seen();
-  return r;
+RunResult run_fastroute(std::int32_t n, const Workload& w,
+                        FastRouteAlgorithm::Options options =
+                            FastRouteAlgorithm::Options::baseline()) {
+  const FastRouteAlgorithm algo(options);
+  FastRouteOracle lemmas(n, options);
+  ProfitableMoveOracle minimal(/*minimal=*/true);
+  RunSpec spec;
+  spec.width = spec.height = n;
+  spec.algorithm = algo.name();
+  spec.queue_capacity = algo.queue_bound();
+  spec.stall_limit = 0;  // idle phases are part of the schedule
+  spec.max_steps = lemmas.schedule().length + 1;
+  RunHooks hooks;
+  hooks.step_observers = {&lemmas, &minimal};
+  return run_workload(spec, w, hooks);
 }
 
 TEST(Tiling, OriginsPartitionTheMesh) {
@@ -81,30 +64,25 @@ TEST(Tiling, Lemma19CoverExhaustive) {
 }
 
 TEST(FastRoute, ScheduleShape) {
-  FastRouteAlgorithm algo;
-  const Mesh mesh = Mesh::square(27);
-  Engine::Config config;
-  config.queue_capacity = algo.queue_bound();
-  Engine e(mesh, config, algo);
-  e.add_packet(0, mesh.num_nodes() - 1);
-  e.prepare();
+  const FastRouteAlgorithm::Schedule schedule(
+      27, FastRouteAlgorithm::Options::baseline());
   // n = 27: per class one iteration (j=0, single tiling, vertical +
   // horizontal) and a base case: 4·(2·4 + 1) = 36 segments.
-  EXPECT_EQ(algo.segments().size(), 36u);
+  EXPECT_EQ(schedule.segments.size(), 36u);
   // Theorem 34: the schedule is below 972n even with the loose constants.
-  EXPECT_LE(algo.schedule_length(), FastRouteBounds::theorem34_steps(27));
+  EXPECT_LE(schedule.length, FastRouteBounds::theorem34_steps(27));
 }
 
 TEST(FastRoute, SinglePacket) {
   const Mesh mesh = Mesh::square(27);
   Workload w{Demand{mesh.id_of(3, 4), mesh.id_of(20, 22), 0}};
-  const FastRunResult r = run_fastroute(27, w);
+  const RunResult r = run_fastroute(27, w);
   EXPECT_TRUE(r.all_delivered);
 }
 
 TEST(FastRoute, RandomPermutation27) {
   const Mesh mesh = Mesh::square(27);
-  const FastRunResult r = run_fastroute(27, random_permutation(mesh, 11));
+  const RunResult r = run_fastroute(27, random_permutation(mesh, 11));
   EXPECT_TRUE(r.all_delivered);
   EXPECT_LE(r.steps, FastRouteBounds::theorem34_steps(27));
   FastRouteBounds bounds;
@@ -113,52 +91,54 @@ TEST(FastRoute, RandomPermutation27) {
 
 TEST(FastRoute, Transpose27) {
   const Mesh mesh = Mesh::square(27);
-  const FastRunResult r = run_fastroute(27, transpose(mesh));
+  const RunResult r = run_fastroute(27, transpose(mesh));
   EXPECT_TRUE(r.all_delivered);
 }
 
 TEST(FastRoute, Mirror27) {
   const Mesh mesh = Mesh::square(27);
-  const FastRunResult r = run_fastroute(27, mirror(mesh));
+  const RunResult r = run_fastroute(27, mirror(mesh));
   EXPECT_TRUE(r.all_delivered);
 }
 
 TEST(FastRoute, RandomPermutation81) {
   const Mesh mesh = Mesh::square(81);
-  const FastRunResult r = run_fastroute(81, random_permutation(mesh, 7));
+  const RunResult r = run_fastroute(81, random_permutation(mesh, 7));
   EXPECT_TRUE(r.all_delivered);
   EXPECT_LE(r.steps, FastRouteBounds::theorem34_steps(81));
 }
 
 TEST(FastRoute, ImprovedVariantIsFasterSchedule) {
   const Mesh mesh = Mesh::square(81);
-  const FastRunResult baseline =
+  const RunResult baseline =
       run_fastroute(81, random_permutation(mesh, 7));
-  const FastRunResult improved = run_fastroute(
+  const RunResult improved = run_fastroute(
       81, random_permutation(mesh, 7), FastRouteAlgorithm::Options::improved());
   EXPECT_TRUE(improved.all_delivered);
-  EXPECT_LT(improved.schedule_length, baseline.schedule_length);
+  EXPECT_LT(improved.steps, baseline.steps);
+  EXPECT_LT(FastRouteAlgorithm::Schedule(
+                81, FastRouteAlgorithm::Options::improved())
+                .length,
+            FastRouteAlgorithm::Schedule(
+                81, FastRouteAlgorithm::Options::baseline())
+                .length);
   EXPECT_LE(improved.steps, FastRouteBounds::improved_steps(81));
 }
 
 TEST(FastRoute, RejectsBadMeshes) {
-  FastRouteAlgorithm algo;
-  const Mesh mesh = Mesh::square(32);  // not a power of 3
-  Engine::Config config;
-  config.queue_capacity = algo.queue_bound();
-  Engine e(mesh, config, algo);
-  e.add_packet(0, 5);
-  EXPECT_THROW(e.prepare(), InvariantViolation);
+  RunSpec spec;
+  spec.width = spec.height = 32;  // not a power of 3
+  spec.algorithm = "fastroute";
+  spec.queue_capacity = FastRouteAlgorithm().queue_bound();
+  EXPECT_THROW(run_workload(spec, {Demand{0, 5, 0}}), InvariantViolation);
 }
 
 TEST(FastRoute, RejectsSmallQueueCapacity) {
-  FastRouteAlgorithm algo;
-  const Mesh mesh = Mesh::square(27);
-  Engine::Config config;
-  config.queue_capacity = 10;  // below the Lemma 28 bound
-  Engine e(mesh, config, algo);
-  e.add_packet(0, 5);
-  EXPECT_THROW(e.prepare(), InvariantViolation);
+  RunSpec spec;
+  spec.width = spec.height = 27;
+  spec.algorithm = "fastroute";
+  spec.queue_capacity = 10;  // below the Lemma 28 bound
+  EXPECT_THROW(run_workload(spec, {Demand{0, 5, 0}}), InvariantViolation);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/fastroute_oracle.hpp"
 #include "check/oracles.hpp"
 #include "core/assert.hpp"
 #include "lower_bound/classes.hpp"
@@ -637,6 +638,117 @@ TEST(TraceOracles, PerInlinkCountsQueuesSeparately) {
   const std::string msg =
       run_trace_oracles(events, mesh, packets, 1, QueueLayout::Central);
   EXPECT_NE(msg.find("queue bound violated"), std::string::npos) << msg;
+}
+
+// --- FastRouteOracle -----------------------------------------------------
+
+// n = 27: one tile, strips of height d = 1 (a strip is a row). Segments
+// 0–3 are the NE class's vertical March, Sort&Smooth(even),
+// Sort&Smooth(odd) and Balance, 4–7 its horizontal phase, 8 its base case.
+// Every packet below is NE (destination north, not west), so a packet at
+// row r with destination row r + 3 or more is active, staged for row
+// r' = destination row − 3.
+struct FastRouteFixture {
+  Mesh mesh = Mesh::square(27);
+  FakeSim sim{mesh, 834, QueueLayout::Central};
+  FastRouteOracle oracle{27, FastRouteAlgorithm::Options::baseline()};
+
+  PacketId packet(Coord at, Coord dest) {
+    const PacketId p = sim.add(mesh.id_of(at.col, at.row),
+                               mesh.id_of(dest.col, dest.row));
+    sim.place(p, mesh.id_of(at.col, at.row));
+    return p;
+  }
+  const FastRouteAlgorithm::Segment& segment(std::size_t i) const {
+    return oracle.schedule().segments[i];
+  }
+  /// Feeds empty digests for steps (from, to]; returns the first
+  /// violation message, or "".
+  std::string idle(Step from, Step to) {
+    return violation([&] {
+      for (Step t = from + 1; t <= to; ++t) oracle.on_step(sim, digest_at(t));
+    });
+  }
+};
+
+TEST(FastRouteOracle, SilentOnAnInactivePacketDeliveredInTheBaseCase) {
+  FastRouteFixture fx;
+  // Two rows short of its destination: participates, never active.
+  const PacketId p = fx.packet({5, 8}, {5, 10});
+  fx.oracle.on_prepare(fx.sim, digest_at(0));
+  const Step t = fx.segment(8).start + 2;
+  EXPECT_EQ(fx.idle(0, t - 1), "");
+  fx.sim.mark_delivered(p, t);
+  const NodeId from = fx.mesh.id_of(5, 8);
+  const std::vector<MoveRecord> hop = {
+      {p, from, fx.mesh.id_of(5, 10), Dir::North, /*delivered=*/true}};
+  EXPECT_EQ(violation([&] { fx.oracle.on_step(fx.sim, digest_at(t, hop)); }),
+            "");
+  EXPECT_EQ(fx.idle(t, fx.oracle.schedule().length), "");
+  EXPECT_EQ(fx.oracle.stats()[8].moves, 1);
+  EXPECT_EQ(fx.oracle.stats()[8].last_move_offset, 2);
+}
+
+TEST(FastRouteOracle, FiresOnASkippedMarchLemma29) {
+  FastRouteFixture fx;
+  fx.packet({5, 2}, {5, 10});  // staging row 7; the March never moves it
+  fx.oracle.on_prepare(fx.sim, digest_at(0));
+  const std::string msg = fx.idle(0, fx.segment(0).end());
+  EXPECT_NE(msg.find("[oracle:fastroute] Lemma 29 violated"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(FastRouteOracle, FiresOnASkippedSortAndSmoothLemma30) {
+  FastRouteFixture fx;
+  fx.packet({5, 7}, {5, 10});  // staged; even destination strip
+  fx.packet({9, 8}, {9, 11});  // staged; odd destination strip
+  fx.oracle.on_prepare(fx.sim, digest_at(0));
+  EXPECT_EQ(fx.idle(0, fx.segment(0).end()), "");  // March: both staged
+  const std::string msg =
+      fx.idle(fx.segment(0).end(), fx.segment(1).end());
+  EXPECT_NE(msg.find("Lemma 30 violated (even substep)"), std::string::npos)
+      << msg;
+
+  FastRouteFixture odd;
+  odd.packet({9, 8}, {9, 11});
+  odd.oracle.on_prepare(odd.sim, digest_at(0));
+  const std::string odd_msg = odd.idle(0, odd.segment(2).end());
+  EXPECT_NE(odd_msg.find("Lemma 30 violated (odd substep)"),
+            std::string::npos)
+      << odd_msg;
+}
+
+TEST(FastRouteOracle, FiresOnASkippedBalanceLemma31) {
+  FastRouteFixture fx;
+  std::vector<PacketId> staged;
+  for (std::int32_t col : {6, 7, 8}) staged.push_back(fx.packet({5, 7}, {col, 10}));
+  fx.oracle.on_prepare(fx.sim, digest_at(0));
+  const Step t = fx.segment(1).start + 1;
+  EXPECT_EQ(fx.idle(0, t - 1), "");
+  // Sort&Smooth(even) stacks all three in one node of row 8 = 10 − 2.
+  std::vector<MoveRecord> hops;
+  for (PacketId p : staged) {
+    fx.sim.set_location(p, fx.mesh.id_of(5, 8));
+    hops.push_back({p, fx.mesh.id_of(5, 7), fx.mesh.id_of(5, 8), Dir::North,
+                    /*delivered=*/false});
+  }
+  EXPECT_EQ(violation([&] { fx.oracle.on_step(fx.sim, digest_at(t, hops)); }),
+            "");
+  // Both substeps end with them in row 8; Balancing never spreads them.
+  const std::string msg = fx.idle(t, fx.segment(3).end());
+  EXPECT_NE(msg.find("Lemma 24/31 violated: 3 active packets"),
+            std::string::npos)
+      << msg;
+  EXPECT_EQ(fx.oracle.stats()[3].peak_per_node, 3);
+}
+
+TEST(FastRouteOracle, FiresOnASkippedBaseCaseLemma32) {
+  FastRouteFixture fx;
+  fx.packet({5, 8}, {5, 10});  // inactive: only the base case moves it
+  fx.oracle.on_prepare(fx.sim, digest_at(0));
+  const std::string msg = fx.idle(0, fx.segment(8).end());
+  EXPECT_NE(msg.find("Lemma 32 violated"), std::string::npos) << msg;
 }
 
 }  // namespace
