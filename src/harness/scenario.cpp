@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -35,6 +37,14 @@ std::string sanitize_key(const std::string& s) {
     if (!ok) c = '_';
   }
   return out;
+}
+
+/// CPU time consumed so far by the calling thread, in seconds.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 }  // namespace
@@ -92,6 +102,8 @@ std::string ScenarioResult::to_json() const {
   os << "  \"scale\": \"" << scale_name(scale) << "\",\n";
   os << "  \"seed\": " << seed << ",\n";
   os << "  \"passed\": " << (passed() ? "true" : "false") << ",\n";
+  os << "  \"wall_s\": " << wall_s << ",\n";
+  os << "  \"cpu_s\": " << cpu_s << ",\n";
   if (errored) os << "  \"error\": \"" << json::escape(error) << "\",\n";
 
   os << "  \"checks\": [";
@@ -270,6 +282,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
   result.scale = options.scale;
   result.seed = options.seed;
   ScenarioReport report(options, &result);
+  const auto wall_start = std::chrono::steady_clock::now();
+  const double cpu_start = thread_cpu_seconds();
   try {
     spec.body(report);
     if (spec.expect)
@@ -281,6 +295,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
     result.errored = true;
     result.error = "unknown exception";
   }
+  result.wall_s = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - wall_start)
+                      .count();
+  result.cpu_s = thread_cpu_seconds() - cpu_start;
   result.export_tables();
   return result;
 }
@@ -337,6 +355,11 @@ bool validate_scenario_json(const std::string& path, std::string* error) {
   const json::Value* passed = doc->find("passed");
   if (passed == nullptr || !passed->is_bool())
     return fail("missing boolean \"passed\"");
+  for (const char* key : {"wall_s", "cpu_s"}) {
+    const json::Value* v = doc->find(key);
+    if (v == nullptr || !v->is_number() || v->number < 0)
+      return fail(std::string("missing or negative \"") + key + "\"");
+  }
 
   const json::Value* checks = doc->find("checks");
   if (checks == nullptr || !checks->is_array())

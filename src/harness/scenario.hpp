@@ -71,6 +71,13 @@ struct ScenarioResult {
   bool errored = false;  ///< body threw; `error` holds the message
   std::string error;
 
+  /// Host time of the body and its expect predicate: wall clock, and the
+  /// CPU time of the thread that ran them (work the body hands to other
+  /// threads is not counted). Recorded in the JSON record only; the
+  /// markdown report carries no timing.
+  double wall_s = 0;
+  double cpu_s = 0;
+
   /// True iff the body completed and every check passed.
   bool passed() const;
 

@@ -220,6 +220,12 @@ Workload DimOrderConstruction::placement() const {
 
 DimOrderConstruction::RunResult DimOrderConstruction::run_construction(
     const std::string& algorithm, int k) {
+  return construct(algorithm, k, nullptr);
+}
+
+DimOrderConstruction::RunResult DimOrderConstruction::construct(
+    const std::string& algorithm, int k,
+    std::vector<std::uint64_t>* stepwise_nodest) {
   auto algo = make_algorithm(algorithm);
   // Size check against total per-node buffering (4k for per-inlink).
   const int per_node_capacity =
@@ -240,12 +246,13 @@ DimOrderConstruction::RunResult DimOrderConstruction::run_construction(
   engine.prepare();
 
   RunResult result;
-  result.stepwise_nodest_fingerprints.reserve(
-      static_cast<std::size_t>(certified_));
+  if (stepwise_nodest != nullptr)
+    stepwise_nodest->reserve(static_cast<std::size_t>(certified_));
   for (Step t = 1; t <= certified_; ++t) {
     MR_REQUIRE_MSG(engine.step_once(),
                    "network drained before the certified Ω(n²/k) bound");
-    result.stepwise_nodest_fingerprints.push_back(engine.fingerprint(false));
+    if (stepwise_nodest != nullptr)
+      stepwise_nodest->push_back(engine.fingerprint(false));
   }
   result.steps = certified_;
   result.exchanges = interceptor.exchanges();
@@ -260,7 +267,8 @@ DimOrderConstruction::RunResult DimOrderConstruction::run_construction(
 DimOrderConstruction::ReplayResult DimOrderConstruction::verify_replay(
     const std::string& algorithm, int k, Step replay_budget) {
   ReplayResult out;
-  out.construction = run_construction(algorithm, k);
+  std::vector<std::uint64_t> stepwise_nodest;
+  out.construction = construct(algorithm, k, &stepwise_nodest);
 
   auto algo = make_algorithm(algorithm);
   Engine::Config config;
@@ -274,8 +282,7 @@ DimOrderConstruction::ReplayResult DimOrderConstruction::verify_replay(
   for (Step t = 1; t <= certified_; ++t) {
     MR_REQUIRE(replay.step_once());
     if (replay.fingerprint(false) !=
-        out.construction
-            .stepwise_nodest_fingerprints[static_cast<std::size_t>(t - 1)]) {
+        stepwise_nodest[static_cast<std::size_t>(t - 1)]) {
       out.stepwise_match = false;
       if (out.first_mismatch < 0) out.first_mismatch = t;
     }

@@ -41,7 +41,8 @@ class DimOrderConstruction {
     Step steps = 0;
     std::size_t exchanges = 0;
     std::size_t undelivered = 0;
-    std::vector<std::uint64_t> stepwise_nodest_fingerprints;
+    /// Full fingerprint at the certified step. The per-step
+    /// destination-less fingerprints are recorded only by verify_replay.
     std::uint64_t final_fingerprint = 0;
     Workload constructed;
   };
@@ -60,6 +61,12 @@ class DimOrderConstruction {
                              Step replay_budget = 0);
 
  private:
+  /// The construction run behind run_construction and verify_replay. When
+  /// `stepwise_nodest` is non-null, the destination-less fingerprint after
+  /// every step is appended to it.
+  RunResult construct(const std::string& algorithm, int k,
+                      std::vector<std::uint64_t>* stepwise_nodest);
+
   Mesh mesh_;
   std::int32_t n_;
   int k_;

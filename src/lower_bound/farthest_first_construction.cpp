@@ -249,6 +249,12 @@ Workload FarthestFirstConstruction::placement() const {
 FarthestFirstConstruction::RunResult
 FarthestFirstConstruction::run_construction(const std::string& algorithm,
                                             int k) {
+  return construct(algorithm, k, nullptr);
+}
+
+FarthestFirstConstruction::RunResult FarthestFirstConstruction::construct(
+    const std::string& algorithm, int k,
+    std::vector<std::uint64_t>* stepwise_nodest) {
   auto algo = make_algorithm(algorithm);
   const int per_node_capacity =
       algo->queue_layout() == QueueLayout::PerInlink ? 4 * k : k;
@@ -268,12 +274,13 @@ FarthestFirstConstruction::run_construction(const std::string& algorithm,
   engine.prepare();
 
   RunResult result;
-  result.stepwise_nodest_fingerprints.reserve(
-      static_cast<std::size_t>(certified_));
+  if (stepwise_nodest != nullptr)
+    stepwise_nodest->reserve(static_cast<std::size_t>(certified_));
   for (Step t = 1; t <= certified_; ++t) {
     MR_REQUIRE_MSG(engine.step_once(),
                    "network drained before the certified bound");
-    result.stepwise_nodest_fingerprints.push_back(engine.fingerprint(false));
+    if (stepwise_nodest != nullptr)
+      stepwise_nodest->push_back(engine.fingerprint(false));
     if (result.row_order_ok && t % 16 == 0)
       result.row_order_ok = row_order_holds(engine, *this, cn_, w.size());
   }
@@ -293,7 +300,8 @@ FarthestFirstConstruction::ReplayResult
 FarthestFirstConstruction::verify_replay(const std::string& algorithm, int k,
                                          Step replay_budget) {
   ReplayResult out;
-  out.construction = run_construction(algorithm, k);
+  std::vector<std::uint64_t> stepwise_nodest;
+  out.construction = construct(algorithm, k, &stepwise_nodest);
 
   auto algo = make_algorithm(algorithm);
   Engine::Config config;
@@ -307,8 +315,7 @@ FarthestFirstConstruction::verify_replay(const std::string& algorithm, int k,
   for (Step t = 1; t <= certified_; ++t) {
     MR_REQUIRE(replay.step_once());
     if (replay.fingerprint(false) !=
-        out.construction
-            .stepwise_nodest_fingerprints[static_cast<std::size_t>(t - 1)]) {
+        stepwise_nodest[static_cast<std::size_t>(t - 1)]) {
       out.stepwise_match = false;
       if (out.first_mismatch < 0) out.first_mismatch = t;
     }

@@ -295,6 +295,12 @@ Workload MainConstruction::placement() const {
 
 MainConstruction::RunResult MainConstruction::run_construction(
     const std::string& algorithm, int k, Observer* extra_observer) {
+  return construct(algorithm, k, extra_observer, nullptr);
+}
+
+MainConstruction::RunResult MainConstruction::construct(
+    const std::string& algorithm, int k, Observer* extra_observer,
+    std::vector<std::uint64_t>* stepwise_nodest) {
   auto algo = make_algorithm(algorithm);
   MR_REQUIRE_MSG(algo->minimal(), "construction applies to minimal routers");
   // The counting argument (Lemmas 3/4) uses the total per-node buffer
@@ -326,13 +332,14 @@ MainConstruction::RunResult MainConstruction::run_construction(
 
   engine.prepare();
   RunResult result;
-  result.stepwise_nodest_fingerprints.reserve(
-      static_cast<std::size_t>(certified_));
+  if (stepwise_nodest != nullptr)
+    stepwise_nodest->reserve(static_cast<std::size_t>(certified_));
   for (Step t = 1; t <= certified_; ++t) {
     MR_REQUIRE_MSG(engine.step_once(),
                    "network drained before the certified bound — Corollary 9 "
                    "violated");
-    result.stepwise_nodest_fingerprints.push_back(engine.fingerprint(false));
+    if (stepwise_nodest != nullptr)
+      stepwise_nodest->push_back(engine.fingerprint(false));
   }
   result.steps = certified_;
   result.exchanges = exchanger.exchanges();
@@ -365,7 +372,8 @@ MainConstruction::RunResult MainConstruction::run_construction(
 MainConstruction::ReplayResult MainConstruction::verify_replay(
     const std::string& algorithm, int k, Step replay_budget) {
   ReplayResult out;
-  out.construction = run_construction(algorithm, k);
+  std::vector<std::uint64_t> stepwise_nodest;
+  out.construction = construct(algorithm, k, nullptr, &stepwise_nodest);
 
   auto algo = make_algorithm(algorithm);
   Engine::Config config;
@@ -381,9 +389,8 @@ MainConstruction::ReplayResult MainConstruction::verify_replay(
   // destination-less configurations must be identical...
   for (Step t = 1; t <= certified_; ++t) {
     MR_REQUIRE(replay.step_once());
-    const std::uint64_t fp = replay.fingerprint(false);
-    if (fp != out.construction.stepwise_nodest_fingerprints
-                  [static_cast<std::size_t>(t - 1)]) {
+    if (replay.fingerprint(false) !=
+        stepwise_nodest[static_cast<std::size_t>(t - 1)]) {
       out.stepwise_match = false;
       if (out.first_mismatch < 0) out.first_mismatch = t;
     }

@@ -72,7 +72,8 @@ class MainConstruction {
     /// guarantees ≥ 2(p − dn) of them.
     std::int64_t last_class_in_box = 0;
     std::int64_t max_escapes_per_step = 0;  ///< Lemma 2 says ≤ 1 per type
-    std::vector<std::uint64_t> stepwise_nodest_fingerprints;
+    /// Full fingerprint at step ⌊l⌋·dn. The per-step destination-less
+    /// fingerprints Lemma 12 compares are recorded only by verify_replay.
     std::uint64_t final_fingerprint = 0;
     Workload constructed;  ///< the constructed permutation (§3 step 4)
   };
@@ -100,6 +101,13 @@ class MainConstruction {
 
  private:
   void init_common();
+  /// The construction run behind run_construction and verify_replay. When
+  /// `stepwise_nodest` is non-null, the destination-less fingerprint after
+  /// every step is appended to it (a whole-mesh hash per step, paid only
+  /// when a replay compares against it).
+  RunResult construct(const std::string& algorithm, int k,
+                      Observer* extra_observer,
+                      std::vector<std::uint64_t>* stepwise_nodest);
 
   Mesh mesh_;
   std::int32_t size_;  ///< construction side length (paper's n)

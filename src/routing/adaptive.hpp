@@ -32,6 +32,9 @@ class AdaptiveAlternateRouter final : public DxAlgorithm {
 
 class GreedyMatchRouter final : public DxAlgorithm {
  public:
+  /// dx_update only advances the preference rotation in the node state.
+  GreedyMatchRouter() : DxAlgorithm(Update::NodeState) {}
+
   std::string name() const override { return "greedy-match"; }
 
  protected:

@@ -13,6 +13,9 @@ namespace mr {
 
 class DimensionOrderRouter final : public DxAlgorithm {
  public:
+  /// dx_update only advances the inqueue pointer in the node state.
+  DimensionOrderRouter() : DxAlgorithm(Update::NodeState) {}
+
   std::string name() const override { return "dimension-order"; }
 
  protected:

@@ -65,8 +65,13 @@ void DxAlgorithm::plan_in(Sim& e, NodeId v, std::span<const Offer> offers,
 }
 
 void DxAlgorithm::update_state(Sim& e, NodeId v) {
-  if (!has_update_) return;
+  if (update_ == Update::None) return;
   NodeCtx ctx = make_ctx(e, v);
+  if (update_ == Update::NodeState) {
+    dx_update(ctx, {});
+    e.set_node_state(v, ctx.state);
+    return;
+  }
   fill_views(e, v);
   dx_update(ctx, std::span<PacketDxView>(views_));
   e.set_node_state(v, ctx.state);

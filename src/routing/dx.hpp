@@ -21,9 +21,12 @@
 //   * dx_plan_in receives no resident views, only the offers. NodeCtx
 //     carries the counts an inqueue policy needs — `resident` and
 //     `inlink_occupancy` — read at the start of phase (c);
-//   * dx_update receives the resident views after transmission. A router
-//     that constructs the adapter with Update::None never reaches it:
-//     update_state returns before building a context or views.
+//   * dx_update receives the resident views after transmission, and the
+//     node and packet states it leaves are written back. A router that
+//     constructs the adapter with Update::NodeState gets an empty span
+//     instead: no views are built and only ctx.state is written back. One
+//     built with Update::None never reaches dx_update: update_state
+//     returns before building a context or views.
 //
 // A node IS allowed to know its own identity, coordinates, the mesh shape,
 // k and the global step counter: the lower-bound argument never relocates
@@ -108,10 +111,13 @@ class DxAlgorithm : public Algorithm {
     }
   };
 
-  /// Whether the router type defines a state update (dx_update). With
-  /// None, phase (e) skips the router: update_state still runs, so
-  /// decorators see the call, but returns before touching the Sim.
-  enum class Update { Defined, None };
+  /// What the router type's state update (dx_update) reads. Defined: the
+  /// resident views, with node and packet states written back. NodeState:
+  /// only the node context — dx_update gets an empty span and only
+  /// ctx.state is written back. None: phase (e) skips the router;
+  /// update_state still runs, so decorators see the call, but returns
+  /// before touching the Sim.
+  enum class Update { Defined, NodeState, None };
 
   // Adapter plumbing: translates Engine callbacks into DX views. Final so
   // subclasses cannot reopen access to destinations.
@@ -122,8 +128,7 @@ class DxAlgorithm : public Algorithm {
   void update_state(Sim& e, NodeId v) final;
 
  protected:
-  explicit DxAlgorithm(Update update = Update::Defined)
-      : has_update_(update == Update::Defined) {}
+  explicit DxAlgorithm(Update update = Update::Defined) : update_(update) {}
 
   /// Initial node state from the profitable outlinks of resident packets
   /// (§3: the initial state may depend on the packet that originates
@@ -147,8 +152,9 @@ class DxAlgorithm : public Algorithm {
                           InPlan& plan) = 0;
 
   /// End-of-step state update; resident packet states may be modified and
-  /// are written back. Default: no state. Never called on a router
-  /// constructed with Update::None.
+  /// are written back. Default: no state. Called with an empty span on a
+  /// router constructed with Update::NodeState, never on one constructed
+  /// with Update::None.
   virtual void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) {
     (void)ctx;
     (void)resident;
@@ -158,7 +164,7 @@ class DxAlgorithm : public Algorithm {
   NodeCtx make_ctx(const Sim& e, NodeId u) const;
   void fill_views(const Sim& e, NodeId u);
 
-  bool has_update_;
+  Update update_;
   // scratch, reused across callbacks
   std::vector<PacketDxView> views_;
   std::vector<DxOffer> dx_offers_;

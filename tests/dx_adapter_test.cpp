@@ -4,7 +4,9 @@
 //     equal the node's queue counts at the start of phase (c);
 //   * a router constructed with Update::None never reaches dx_update,
 //     although the engine still calls update_state; one with
-//     Update::Defined reaches it on every call.
+//     Update::Defined reaches it on every call;
+//   * one with Update::NodeState reaches it on every call with an empty
+//     span, and only the node state it leaves is written back.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -54,6 +56,7 @@ class ProbeRouter final : public DxAlgorithm {
   std::int64_t plan_in_calls = 0;
   std::int64_t mismatches = 0;
   std::int64_t update_calls = 0;
+  std::int64_t nonempty_update_spans = 0;
 
  protected:
   void dx_plan_out(NodeCtx&, std::span<const PacketDxView> resident,
@@ -85,8 +88,13 @@ class ProbeRouter final : public DxAlgorithm {
     }
   }
 
-  void dx_update(NodeCtx&, std::span<PacketDxView>) override {
+  // Counts the call in the node state and marks every view it is given,
+  // so the tests can see which states the adapter writes back.
+  void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) override {
     ++update_calls;
+    if (!resident.empty()) ++nonempty_update_spans;
+    ++ctx.state;
+    for (PacketDxView& v : resident) ++v.state;
   }
 
  private:
@@ -131,7 +139,10 @@ struct Tally {
   std::int64_t mismatches = 0;
   std::int64_t update_state_calls = 0;
   std::int64_t dx_update_calls = 0;
+  std::int64_t nonempty_update_spans = 0;
   std::int64_t moves = 0;
+  std::uint64_t node_state_sum = 0;    ///< over every node at the end
+  std::uint64_t packet_state_sum = 0;  ///< over every packet at the end
 };
 
 template <typename E>
@@ -142,16 +153,19 @@ void drive(E& e, const Workload& w) {
     e.step_once();
 }
 
-Tally tally(const std::vector<const ProbeHarness*>& bands,
-            std::int64_t moves) {
+Tally tally(const std::vector<const ProbeHarness*>& bands, const Sim& e) {
   Tally t;
   for (const ProbeHarness* h : bands) {
     t.plan_in_calls += h->probe().plan_in_calls;
     t.mismatches += h->probe().mismatches;
     t.update_state_calls += h->update_state_calls;
     t.dx_update_calls += h->probe().update_calls;
+    t.nonempty_update_spans += h->probe().nonempty_update_spans;
   }
-  t.moves = moves;
+  t.moves = e.total_moves();
+  for (NodeId v = 0; v < e.mesh().num_nodes(); ++v)
+    t.node_state_sum += e.node_state(v);
+  for (const Packet& pk : e.all_packets()) t.packet_state_sum += pk.state;
   return t;
 }
 
@@ -164,7 +178,7 @@ Tally run(EngineKind kind, QueueLayout layout, DxAlgorithm::Update update) {
     ProbeHarness harness(layout, update);
     ReferenceEngine e(mesh, k, stall_limit, harness);
     drive(e, w);
-    return tally({&harness}, e.total_moves());
+    return tally({&harness}, e);
   }
   Engine::Config config;
   config.queue_capacity = k;
@@ -180,7 +194,7 @@ Tally run(EngineKind kind, QueueLayout layout, DxAlgorithm::Update update) {
     return harness;
   });
   drive(e, w);
-  return tally(bands, e.total_moves());
+  return tally(bands, e);
 }
 
 const char* kind_name(EngineKind k) {
@@ -220,6 +234,33 @@ TEST(DxAdapter, UpdateNoneNeverReachesDxUpdate) {
     EXPECT_GT(defined.update_state_calls, 0) << kind_name(kind);
     EXPECT_EQ(defined.dx_update_calls, defined.update_state_calls)
         << kind_name(kind);
+  }
+}
+
+TEST(DxAdapter, UpdateNodeStateWritesOnlyTheNodeState) {
+  for (EngineKind kind : {EngineKind::Sequential, EngineKind::Sharded,
+                          EngineKind::Reference}) {
+    for (QueueLayout layout : {QueueLayout::Central, QueueLayout::PerInlink}) {
+      const std::string label =
+          std::string(kind_name(kind)) +
+          (layout == QueueLayout::Central ? "/central" : "/per-inlink");
+      const Tally t = run(kind, layout, DxAlgorithm::Update::NodeState);
+      EXPECT_GT(t.moves, 0) << label;
+      EXPECT_GT(t.update_state_calls, 0) << label;
+      EXPECT_EQ(t.dx_update_calls, t.update_state_calls) << label;
+      EXPECT_EQ(t.nonempty_update_spans, 0) << label;
+      // Every call's ++ctx.state landed in the Sim; no packet state moved.
+      EXPECT_EQ(t.node_state_sum,
+                static_cast<std::uint64_t>(t.dx_update_calls))
+          << label;
+      EXPECT_EQ(t.packet_state_sum, 0u) << label;
+
+      // Control: the same probe built with Update::Defined sees views and
+      // has its packet marks written back.
+      const Tally defined = run(kind, layout, DxAlgorithm::Update::Defined);
+      EXPECT_GT(defined.nonempty_update_spans, 0) << label;
+      EXPECT_GT(defined.packet_state_sum, 0u) << label;
+    }
   }
 }
 

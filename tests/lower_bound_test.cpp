@@ -307,5 +307,76 @@ TEST(FarthestFirstConstruction, PlacementInvariants) {
   }
 }
 
+// verify_replay records the per-step destination-less fingerprints that
+// run_construction skips; both must still drive the identical construction.
+template <typename Run>
+void expect_same_construction(const Run& plain, const Run& replayed) {
+  EXPECT_EQ(plain.steps, replayed.steps);
+  EXPECT_EQ(plain.exchanges, replayed.exchanges);
+  EXPECT_EQ(plain.undelivered, replayed.undelivered);
+  EXPECT_EQ(plain.final_fingerprint, replayed.final_fingerprint);
+  EXPECT_TRUE(plain.constructed == replayed.constructed);
+}
+
+TEST(MainConstruction, RunAndReplayBuildTheSameConstruction) {
+  const MainLbParams par = main_lb_params(60, 1);
+  ASSERT_TRUE(par.valid);
+  const Mesh mesh = Mesh::square(60);
+  MainConstruction construction(mesh, par);
+  const auto plain = construction.run_construction("dimension-order", 1);
+  const auto replayed = construction.verify_replay("dimension-order", 1);
+  EXPECT_GT(plain.exchanges, 0u);
+  expect_same_construction(plain, replayed.construction);
+  EXPECT_EQ(plain.max_escapes_per_step,
+            replayed.construction.max_escapes_per_step);
+  EXPECT_EQ(plain.last_class_in_box, replayed.construction.last_class_in_box);
+  EXPECT_TRUE(replayed.stepwise_match);
+}
+
+TEST(DimOrderConstruction, RunAndReplayBuildTheSameConstruction) {
+  const DimOrderLbParams par = dim_order_lb_params(60, 1);
+  ASSERT_TRUE(par.valid);
+  const Mesh mesh = Mesh::square(60);
+  DimOrderConstruction construction(mesh, par);
+  const auto plain = construction.run_construction("dimension-order", 1);
+  const auto replayed = construction.verify_replay("dimension-order", 1);
+  EXPECT_GT(plain.exchanges, 0u);
+  expect_same_construction(plain, replayed.construction);
+  EXPECT_TRUE(replayed.stepwise_match);
+}
+
+TEST(FarthestFirstConstruction, RunAndReplayBuildTheSameConstruction) {
+  // n = 60 makes no exchange; n = 108 is the smallest k = 1 size that
+  // does (72), so it checks that both entry points drive the interceptor.
+  for (const std::int32_t n : {60, 108}) {
+    SCOPED_TRACE(n);
+    const FarthestFirstLbParams par = farthest_first_lb_params(n, 1);
+    ASSERT_TRUE(par.valid);
+    const Mesh mesh = Mesh::square(n);
+    FarthestFirstConstruction construction(mesh, par);
+    const auto plain = construction.run_construction("farthest-first", 1);
+    const auto replayed = construction.verify_replay("farthest-first", 1);
+    if (n == 108) {
+      EXPECT_GT(plain.exchanges, 0u);
+    }
+    expect_same_construction(plain, replayed.construction);
+    EXPECT_EQ(plain.row_order_ok, replayed.construction.row_order_ok);
+    EXPECT_TRUE(replayed.stepwise_match);
+  }
+}
+
+TEST(FarthestFirstConstruction, StepwiseMismatchStillDetectedAtK2) {
+  // At k = 2 exact replay breaks (E05 reports "no" for n = 120, k = 2), so
+  // the per-step comparison must still run against a real record.
+  const FarthestFirstLbParams par = farthest_first_lb_params(120, 2);
+  ASSERT_TRUE(par.valid);
+  const Mesh mesh = Mesh::square(120);
+  FarthestFirstConstruction construction(mesh, par);
+  const auto result = construction.verify_replay("farthest-first", 2);
+  EXPECT_FALSE(result.stepwise_match);
+  EXPECT_GE(result.first_mismatch, 1);
+  EXPECT_GE(result.undelivered_at_certified, 1u);
+}
+
 }  // namespace
 }  // namespace mr

@@ -151,6 +151,40 @@ TEST(Scenario, JsonBackendValidatesAgainstSchema) {
   const json::Value* mode = doc->find("runs")->array[0].find("engine_mode");
   ASSERT_NE(mode, nullptr);
   EXPECT_EQ(mode->string, "sequential");
+  // Host time of the body, never negative.
+  for (const char* key : {"wall_s", "cpu_s"}) {
+    const json::Value* v = doc->find(key);
+    ASSERT_NE(v, nullptr) << key;
+    ASSERT_TRUE(v->is_number()) << key;
+    EXPECT_GE(v->number, 0) << key;
+  }
+}
+
+TEST(Scenario, ValidationRequiresHostTimes) {
+  const std::string good =
+      run_scenario(tiny_spec("T01", "tiny-one"), {}).to_json();
+  const std::string dir = ::testing::TempDir();
+  const auto rewrite = [&](const std::string& from, const std::string& to) {
+    std::string doc = good;
+    const std::size_t at = doc.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    const std::size_t end = doc.find('\n', at);
+    doc.replace(at, end - at, to);
+    const std::string path = dir + "/host_times.json";
+    std::ofstream(path) << doc;
+    return path;
+  };
+  std::string error;
+  EXPECT_FALSE(validate_scenario_json(rewrite("\"cpu_s\"", ""), &error));
+  EXPECT_NE(error.find("cpu_s"), std::string::npos) << error;
+  EXPECT_FALSE(validate_scenario_json(
+      rewrite("\"wall_s\"", "\"wall_s\": -1,"), &error));
+  EXPECT_NE(error.find("wall_s"), std::string::npos) << error;
+  EXPECT_FALSE(validate_scenario_json(
+      rewrite("\"wall_s\"", "\"wall_s\": \"1\","), &error));
+  EXPECT_TRUE(validate_scenario_json(
+      rewrite("\"wall_s\"", "\"wall_s\": 0,"), &error))
+      << error;
 }
 
 TEST(Scenario, ValidationRejectsCorruptDocuments) {
@@ -178,7 +212,8 @@ TEST(Scenario, ValidationRejectsCorruptDocuments) {
 
 TEST(Scenario, ParallelSweepIsDeterministicAcrossJobCounts) {
   // Same specs through 1 worker and several workers: position-addressed
-  // results must render identically (markdown and JSON).
+  // results must render identically (markdown, and JSON apart from the
+  // host times wall_s/cpu_s, which are zeroed before comparing).
   std::vector<ScenarioSpec> specs;
   for (int i = 0; i < 6; ++i)
     specs.push_back(tiny_spec("T0" + std::to_string(i),
@@ -197,7 +232,10 @@ TEST(Scenario, ParallelSweepIsDeterministicAcrossJobCounts) {
   for (std::size_t i = 0; i < ptrs.size(); ++i) {
     EXPECT_EQ(a[i].id, specs[i].id);  // position-addressed
     EXPECT_EQ(a[i].to_markdown(), b[i].to_markdown()) << specs[i].id;
-    EXPECT_EQ(a[i].to_json(), b[i].to_json()) << specs[i].id;
+    ScenarioResult x = a[i];
+    ScenarioResult y = b[i];
+    x.wall_s = x.cpu_s = y.wall_s = y.cpu_s = 0;
+    EXPECT_EQ(x.to_json(), y.to_json()) << specs[i].id;
   }
 }
 
