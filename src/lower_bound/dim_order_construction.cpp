@@ -1,45 +1,29 @@
 #include "lower_bound/dim_order_construction.hpp"
 
-#include "routing/registry.hpp"
+#include <algorithm>
 
 namespace mr {
 
 namespace {
 
 /// Single exchange rule of the §5 dimension-order construction.
-class DimOrderInterceptor : public StepInterceptor {
+class DimOrderRule : public ExchangeInterceptor<DimOrderRule> {
  public:
-  DimOrderInterceptor(const DimOrderConstruction& geo, std::int32_t cn,
-                      std::int32_t dn, std::int64_t classes,
-                      std::size_t class_count)
-      : geo_(geo), cn_(cn), dn_(dn), classes_(classes),
+  DimOrderRule(const DimOrderConstruction& geo, std::size_t class_count)
+      : ExchangeInterceptor(geo.num_classes() * geo.dn()),
+        geo_(geo),
         class_count_(class_count) {}
 
-  std::size_t exchanges() const { return exchanges_; }
-
-  void after_schedule(Sim& e,
-                      std::span<const ScheduledMove> moves) override {
-    const Step t = e.step();
-    if (t > classes_ * dn_) return;
-    scheduled_target_.assign(e.num_packets(), kInvalidNode);
-    for (const ScheduledMove& m : moves) scheduled_target_[m.packet] = m.to;
-
-    bool changed = true;
-    std::size_t rounds = 0;
-    while (changed) {
-      changed = false;
-      MR_REQUIRE(++rounds <= moves.size() + 4);
-      for (const ScheduledMove& m : moves) {
-        const Coord v = e.mesh().coord_of(m.to);
-        if (v.row >= cn_) continue;  // inside the sender band only
-        const std::int64_t i = v.col - geo_.line(0);
-        if (i < 1 || i > classes_ || t > i * dn_) continue;
-        const std::int64_t j = classify(e, m.packet);
-        if (j <= i) continue;  // own column or unclassed: legal
-        exchange(e, m.packet, i);
-        changed = true;
-      }
-    }
+  /// The partner the move's packet must exchange with, or kInvalidPacket.
+  PacketId partner_for(const Sim& e, const ScheduledMove& m) const {
+    const Coord v = e.mesh().coord_of(m.to);
+    if (v.row >= geo_.cn()) return kInvalidPacket;  // sender band only
+    const std::int64_t i = v.col - geo_.line(0);
+    if (i < 1 || i > geo_.num_classes() || e.step() > i * geo_.dn())
+      return kInvalidPacket;
+    const std::int64_t j = classify(e, m.packet);
+    if (j <= i) return kInvalidPacket;  // own column or unclassed: legal
+    return partner(e, m.packet, i);
   }
 
  private:
@@ -50,7 +34,7 @@ class DimOrderInterceptor : public StepInterceptor {
                          e.mesh().coord_of(pk.dest));
   }
 
-  void exchange(Sim& e, PacketId mover, std::int64_t i) {
+  PacketId partner(const Sim& e, PacketId mover, std::int64_t i) const {
     PacketId unscheduled = kInvalidPacket;
     PacketId scheduled_elsewhere = kInvalidPacket;
     for (std::size_t id = 0; id < class_count_; ++id) {
@@ -60,8 +44,9 @@ class DimOrderInterceptor : public StepInterceptor {
       if (pk.delivered() || pk.location == kInvalidNode) continue;
       if (classify(e, p) != i) continue;
       const Coord at = e.mesh().coord_of(pk.location);
-      if (at.col > geo_.line(i - 1) || at.row >= cn_) continue;  // (i−1)-box
-      const NodeId target = scheduled_target_[p];
+      // Inside the (i−1)-box only.
+      if (at.col > geo_.line(i - 1) || at.row >= geo_.cn()) continue;
+      const NodeId target = scheduled_target(p);
       if (target == kInvalidNode) {
         unscheduled = p;
         break;
@@ -71,22 +56,16 @@ class DimOrderInterceptor : public StepInterceptor {
         scheduled_elsewhere = p;
       }
     }
-    const PacketId partner =
+    const PacketId best =
         unscheduled != kInvalidPacket ? unscheduled : scheduled_elsewhere;
-    MR_REQUIRE_MSG(partner != kInvalidPacket,
+    MR_REQUIRE_MSG(best != kInvalidPacket,
                    "no eligible partner (dim-order construction) at step "
                        << e.step());
-    e.exchange_destinations(mover, partner);
-    ++exchanges_;
+    return best;
   }
 
   const DimOrderConstruction& geo_;
-  std::int32_t cn_;
-  std::int32_t dn_;
-  std::int64_t classes_;
   std::size_t class_count_;
-  std::size_t exchanges_ = 0;
-  std::vector<NodeId> scheduled_target_;
 };
 
 /// Online checker for the §5 dimension-order analogues of Lemmas 1–8:
@@ -98,12 +77,10 @@ class DimOrderInterceptor : public StepInterceptor {
 ///    step, never before its window opens.
 class DimOrderChecker : public Observer {
  public:
-  DimOrderChecker(const DimOrderConstruction& geo, std::int32_t cn,
-                  std::int32_t dn, std::int64_t classes,
-                  std::size_t class_count)
-      : geo_(geo), cn_(cn), dn_(dn), classes_(classes),
+  DimOrderChecker(const DimOrderConstruction& geo, std::size_t class_count)
+      : geo_(geo),
         class_count_(class_count),
-        escapes_(static_cast<std::size_t>(classes) + 1, 0) {}
+        escapes_(static_cast<std::size_t>(geo.num_classes()) + 1, 0) {}
 
   void on_move(const Sim& e, const Packet& pk, NodeId from,
                NodeId to) override {
@@ -113,13 +90,13 @@ class DimOrderChecker : public Observer {
     if (i == 0) return;
     const Coord f = e.mesh().coord_of(from);
     const Coord t = e.mesh().coord_of(to);
-    const bool left_box = (f.col <= geo_.line(i) && f.row < cn_) &&
-                          !(t.col <= geo_.line(i) && t.row < cn_);
+    const bool left_box = (f.col <= geo_.line(i) && f.row < geo_.cn()) &&
+                          !(t.col <= geo_.line(i) && t.row < geo_.cn());
     if (!left_box) return;
     const Step step = e.step();
-    MR_REQUIRE_MSG(step > (i - 1) * dn_,
+    MR_REQUIRE_MSG(step > (i - 1) * geo_.dn(),
                    "dim-order Lemma 1 analogue violated for class " << i);
-    if (step <= i * dn_) {
+    if (step <= i * geo_.dn()) {
       MR_REQUIRE_MSG(++escapes_[i] <= 1,
                      "dim-order Lemma 2 analogue violated for class " << i);
     }
@@ -127,7 +104,7 @@ class DimOrderChecker : public Observer {
 
   void on_step_end(const Sim& e) override {
     const Step t = e.step();
-    const Step w = (t - 1) / dn_;
+    const Step w = (t - 1) / geo_.dn();
     for (std::size_t id = 0; id < class_count_; ++id) {
       const Packet& pk = e.packet(static_cast<PacketId>(id));
       if (pk.delivered() || pk.location == kInvalidNode) continue;
@@ -135,7 +112,7 @@ class DimOrderChecker : public Observer {
                                            e.mesh().coord_of(pk.dest));
       if (j == 0) continue;
       const Coord at = e.mesh().coord_of(pk.location);
-      if (at.row >= cn_) continue;  // already turned north: out of the band
+      if (at.row >= geo_.cn()) continue;  // turned north: out of the band
       if (j >= w + 2) {
         MR_REQUIRE_MSG(at.col <= geo_.line(w),
                        "dim-order confinement violated: class "
@@ -145,8 +122,8 @@ class DimOrderChecker : public Observer {
       // Column purity: inside the band, the N_i-column may only hold
       // class-i packets while i's window is open.
       const std::int64_t col_class = at.col - geo_.line(0);
-      if (col_class >= 1 && col_class <= classes_ &&
-          t <= col_class * dn_) {
+      if (col_class >= 1 && col_class <= geo_.num_classes() &&
+          t <= col_class * geo_.dn()) {
         MR_REQUIRE_MSG(j == col_class,
                        "dim-order column purity violated at step " << t);
       }
@@ -156,9 +133,6 @@ class DimOrderChecker : public Observer {
 
  private:
   const DimOrderConstruction& geo_;
-  std::int32_t cn_;
-  std::int32_t dn_;
-  std::int64_t classes_;
   std::size_t class_count_;
   std::vector<std::int64_t> escapes_;
 };
@@ -167,17 +141,7 @@ class DimOrderChecker : public Observer {
 
 DimOrderConstruction::DimOrderConstruction(const Mesh& mesh,
                                            const DimOrderLbParams& params)
-    : mesh_(mesh),
-      n_(params.n),
-      k_(params.k),
-      cn_(params.cn),
-      dn_(params.dn),
-      p_(params.p),
-      classes_(params.classes),
-      certified_(params.certified_steps) {
-  MR_REQUIRE_MSG(params.valid, "dim_order_lb_params invalid");
-  MR_REQUIRE(mesh_.width() >= n_ && mesh_.height() >= n_);
-}
+    : LowerBoundConstruction(mesh, params) {}
 
 std::int64_t DimOrderConstruction::classify(Coord source, Coord dest) const {
   if (source.row >= cn_ || source.col > line(1)) return 0;  // not a sender
@@ -218,86 +182,21 @@ Workload DimOrderConstruction::placement() const {
   return w;
 }
 
-DimOrderConstruction::RunResult DimOrderConstruction::run_construction(
-    const std::string& algorithm, int k) {
-  return construct(algorithm, k, nullptr);
-}
-
 DimOrderConstruction::RunResult DimOrderConstruction::construct(
     const std::string& algorithm, int k,
-    std::vector<std::uint64_t>* stepwise_nodest) {
-  auto algo = make_algorithm(algorithm);
-  // Size check against total per-node buffering (4k for per-inlink).
-  const int per_node_capacity =
-      algo->queue_layout() == QueueLayout::PerInlink ? 4 * k : k;
-  MR_REQUIRE_MSG(per_node_capacity <= k_,
-                 "construction sized for capacity " << k_);
-  Engine::Config config;
-  config.queue_capacity = k;
-  config.stall_limit = 0;
-  Engine engine(mesh_, config, *algo);
+    std::vector<std::uint64_t>* stepwise_nodest) const {
   const Workload w = placement();
-  for (const Demand& d : w) engine.add_packet(d.source, d.dest, d.injected_at);
-
-  DimOrderInterceptor interceptor(*this, cn_, dn_, classes_, w.size());
-  engine.set_interceptor(&interceptor);
-  DimOrderChecker checker(*this, cn_, dn_, classes_, w.size());
-  engine.add_observer(&checker);
-  engine.prepare();
-
-  RunResult result;
-  if (stepwise_nodest != nullptr)
-    stepwise_nodest->reserve(static_cast<std::size_t>(certified_));
-  for (Step t = 1; t <= certified_; ++t) {
-    MR_REQUIRE_MSG(engine.step_once(),
-                   "network drained before the certified Ω(n²/k) bound");
-    if (stepwise_nodest != nullptr)
-      stepwise_nodest->push_back(engine.fingerprint(false));
-  }
-  result.steps = certified_;
-  result.exchanges = interceptor.exchanges();
-  result.undelivered = engine.num_packets() - engine.delivered_count();
-  result.final_fingerprint = engine.fingerprint(true);
-  result.constructed.reserve(engine.num_packets());
-  for (const Packet& pk : engine.all_packets())
-    result.constructed.push_back(Demand{pk.source, pk.dest, pk.injected_at});
-  return result;
+  DimOrderRule exchanger(*this, w.size());
+  DimOrderChecker checker(*this, w.size());
+  return drive(algorithm, k, w, exchanger, {&checker}, stepwise_nodest);
 }
 
 DimOrderConstruction::ReplayResult DimOrderConstruction::verify_replay(
-    const std::string& algorithm, int k, Step replay_budget) {
+    const std::string& algorithm, int k, Step replay_budget) const {
   ReplayResult out;
   std::vector<std::uint64_t> stepwise_nodest;
   out.construction = construct(algorithm, k, &stepwise_nodest);
-
-  auto algo = make_algorithm(algorithm);
-  Engine::Config config;
-  config.queue_capacity = k;
-  config.stall_limit = 0;
-  Engine replay(mesh_, config, *algo);
-  for (const Demand& d : out.construction.constructed)
-    replay.add_packet(d.source, d.dest, d.injected_at);
-  replay.prepare();
-
-  for (Step t = 1; t <= certified_; ++t) {
-    MR_REQUIRE(replay.step_once());
-    if (replay.fingerprint(false) !=
-        stepwise_nodest[static_cast<std::size_t>(t - 1)]) {
-      out.stepwise_match = false;
-      if (out.first_mismatch < 0) out.first_mismatch = t;
-    }
-  }
-  out.final_match =
-      replay.fingerprint(true) == out.construction.final_fingerprint;
-  out.undelivered_at_certified =
-      replay.num_packets() - replay.delivered_count();
-
-  const Step budget = replay_budget > 0
-                          ? replay_budget
-                          : certified_ + 16LL * n_ * n_ / std::max(1, k) +
-                                64LL * n_;
-  out.replay_total_steps = replay.run(budget);
-  out.replay_all_delivered = replay.all_delivered();
+  replay(algorithm, k, out.construction, stepwise_nodest, replay_budget, out);
   return out;
 }
 

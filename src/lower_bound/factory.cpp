@@ -16,29 +16,24 @@ AdversarialInstance adversarial_instance(const std::string& family,
   AdversarialInstance out;
   out.width = n;
   out.height = n;
+  auto build = [&](const auto& construction) {
+    ConstructionRun run = construction.run_construction(algorithm, k);
+    out.valid = true;
+    out.permutation = std::move(run.constructed);
+    out.certified_steps = construction.certified_steps();
+    out.classes = construction.num_classes();
+    out.exchanges = run.exchanges;
+    return out;
+  };
   if (family == "main") {
     const MainLbParams par = main_lb_params(n, k);
     if (!par.valid) return out;
-    MainConstruction construction(Mesh::square(n), par);
-    auto run = construction.run_construction(algorithm, k);
-    out.valid = true;
-    out.permutation = std::move(run.constructed);
-    out.certified_steps = par.certified_steps;
-    out.classes = par.classes;
-    out.exchanges = run.exchanges;
-    return out;
+    return build(MainConstruction(Mesh::square(n), par));
   }
   if (family == "dim-order") {
     const DimOrderLbParams par = dim_order_lb_params(n, k);
     if (!par.valid) return out;
-    DimOrderConstruction construction(Mesh::square(n), par);
-    auto run = construction.run_construction(algorithm, k);
-    out.valid = true;
-    out.permutation = std::move(run.constructed);
-    out.certified_steps = par.certified_steps;
-    out.classes = par.classes;
-    out.exchanges = run.exchanges;
-    return out;
+    return build(DimOrderConstruction(Mesh::square(n), par));
   }
   if (family == "torus") {
     // §5c: the mesh construction occupies the m×m quadrant (columns and
@@ -47,17 +42,9 @@ AdversarialInstance adversarial_instance(const std::string& family,
     // certified step count — carries over unchanged.
     out.topology = "torus";
     if (n % 2 != 0) return out;
-    const std::int32_t m = n / 2;
-    const MainLbParams par = main_lb_params(m, k);
+    const MainLbParams par = main_lb_params(n / 2, k);
     if (!par.valid) return out;
-    MainConstruction construction(Mesh::square(n, /*torus=*/true), par);
-    auto run = construction.run_construction(algorithm, k);
-    out.valid = true;
-    out.permutation = std::move(run.constructed);
-    out.certified_steps = par.certified_steps;
-    out.classes = par.classes;
-    out.exchanges = run.exchanges;
-    return out;
+    return build(MainConstruction(Mesh::square(n, /*torus=*/true), par));
   }
   MR_REQUIRE_MSG(false, "unknown adversarial family '" << family << "'");
   return out;

@@ -2,47 +2,32 @@
 
 #include <algorithm>
 
-#include "routing/registry.hpp"
-
 namespace mr {
 
 namespace {
 
-class FarthestFirstInterceptor : public StepInterceptor {
+/// The westernmost-partner exchange rule of the farthest-first
+/// construction.
+class FarthestFirstRule : public ExchangeInterceptor<FarthestFirstRule> {
  public:
-  FarthestFirstInterceptor(const FarthestFirstConstruction& geo,
-                           std::int32_t cn, std::int32_t dn,
-                           std::int64_t classes, std::size_t class_count)
-      : geo_(geo), cn_(cn), dn_(dn), classes_(classes),
+  FarthestFirstRule(const FarthestFirstConstruction& geo,
+                    std::size_t class_count)
+      : ExchangeInterceptor((geo.num_classes() - 1) * geo.dn()),
+        geo_(geo),
         class_count_(class_count) {}
 
-  std::size_t exchanges() const { return exchanges_; }
-
-  void after_schedule(Sim& e,
-                      std::span<const ScheduledMove> moves) override {
-    const Step t = e.step();
-    scheduled_target_.assign(e.num_packets(), kInvalidNode);
-    for (const ScheduledMove& m : moves) scheduled_target_[m.packet] = m.to;
-
-    bool changed = true;
-    std::size_t rounds = 0;
-    while (changed) {
-      changed = false;
-      MR_REQUIRE(++rounds <= moves.size() + 4);
-      for (const ScheduledMove& m : moves) {
-        const Coord from = e.mesh().coord_of(m.from);
-        const Coord v = e.mesh().coord_of(m.to);
-        if (v.row >= cn_) continue;
-        if (v.col == from.col) continue;  // vertical move inside a column
-        const std::int64_t j = classify(e, m.packet);
-        if (j < 2) continue;
-        if (v.col != geo_.line(j)) continue;  // not entering its own column
-        // Rule window: exists i ≥ 1, i < j with t ≤ i·dn ⟺ t ≤ (j−1)·dn.
-        if (t > (j - 1) * dn_) continue;
-        exchange(e, m.packet, j);
-        changed = true;
-      }
-    }
+  /// The partner the move's packet must exchange with, or kInvalidPacket.
+  PacketId partner_for(const Sim& e, const ScheduledMove& m) const {
+    const Coord from = e.mesh().coord_of(m.from);
+    const Coord v = e.mesh().coord_of(m.to);
+    if (v.row >= geo_.cn()) return kInvalidPacket;
+    if (v.col == from.col) return kInvalidPacket;  // vertical, in a column
+    const std::int64_t j = classify(e, m.packet);
+    if (j < 2) return kInvalidPacket;
+    if (v.col != geo_.line(j)) return kInvalidPacket;  // not its own column
+    // Rule window: exists i ≥ 1, i < j with t ≤ i·dn ⟺ t ≤ (j−1)·dn.
+    if (e.step() > (j - 1) * geo_.dn()) return kInvalidPacket;
+    return partner(e, m.packet, j);
   }
 
  private:
@@ -53,7 +38,7 @@ class FarthestFirstInterceptor : public StepInterceptor {
                          e.mesh().coord_of(pk.dest));
   }
 
-  void exchange(Sim& e, PacketId mover, std::int64_t j) {
+  PacketId partner(const Sim& e, PacketId mover, std::int64_t j) const {
     // Partner: westernmost-in-its-row N_{j−1}-packet inside the (j+1)-box
     // (columns ≤ n−j−1) that is not scheduled to enter the N_j-column.
     PacketId best = kInvalidPacket;
@@ -65,8 +50,8 @@ class FarthestFirstInterceptor : public StepInterceptor {
       if (pk.delivered() || pk.location == kInvalidNode) continue;
       if (classify(e, p) != j - 1) continue;
       const Coord at = e.mesh().coord_of(pk.location);
-      if (at.col > geo_.line(j + 1) || at.row >= cn_) continue;
-      const NodeId target = scheduled_target_[p];
+      if (at.col > geo_.line(j + 1) || at.row >= geo_.cn()) continue;
+      const NodeId target = scheduled_target(p);
       if (target != kInvalidNode &&
           e.mesh().coord_of(target).col == geo_.line(j)) {
         continue;
@@ -80,66 +65,18 @@ class FarthestFirstInterceptor : public StepInterceptor {
     MR_REQUIRE_MSG(best != kInvalidPacket,
                    "no eligible partner (farthest-first construction) at step "
                        << e.step() << " for class " << j);
-    e.exchange_destinations(mover, best);
-    ++exchanges_;
+    return best;
   }
 
   const FarthestFirstConstruction& geo_;
-  std::int32_t cn_;
-  std::int32_t dn_;
-  std::int64_t classes_;
   std::size_t class_count_;
-  std::size_t exchanges_ = 0;
-  std::vector<NodeId> scheduled_target_;
-};
-
-/// Escape discipline for the farthest-first construction: while class i's
-/// exchange window is open (t ≤ (i−1)·dn... precisely, while rule coverage
-/// lasts), class-i packets may leave the i-box (west of and including
-/// column n−i, below row cn) only through the top of their own column, at
-/// most one per step.
-class FarthestFirstChecker : public Observer {
- public:
-  FarthestFirstChecker(const FarthestFirstConstruction& geo, std::int32_t cn,
-                       std::int32_t dn, std::size_t class_count)
-      : geo_(geo), cn_(cn), dn_(dn), class_count_(class_count) {}
-
-  void on_move(const Sim& e, const Packet& pk, NodeId from,
-               NodeId to) override {
-    if (static_cast<std::size_t>(pk.id) >= class_count_) return;
-    const std::int64_t i = geo_.classify(e.mesh().coord_of(pk.source),
-                                         e.mesh().coord_of(pk.dest));
-    if (i == 0) return;
-    const Coord f = e.mesh().coord_of(from);
-    const Coord t = e.mesh().coord_of(to);
-    const bool in_box_f = f.col <= geo_.line(i) && f.row < cn_;
-    const bool in_box_t = t.col <= geo_.line(i) && t.row < cn_;
-    if (!in_box_f || in_box_t) return;
-    // The only exit is northward out of the own column (dimension-order
-    // paths never cross the N_i-column eastward for an N_i-packet).
-    MR_REQUIRE_MSG(f.col == geo_.line(i) && t.row == cn_,
-                   "farthest-first construction: class "
-                       << i << " left its box sideways at step " << e.step());
-    if (e.step() <= (i - 1) * dn_) ++early_escapes_;
-  }
-
-  /// Escapes that happened while some exchange rule still covered the
-  /// class (informational: the §5 sketch tolerates these only via the
-  /// exchange rule itself).
-  std::int64_t early_escapes() const { return early_escapes_; }
-
- private:
-  const FarthestFirstConstruction& geo_;
-  std::int32_t cn_;
-  std::int32_t dn_;
-  std::size_t class_count_;
-  std::int64_t early_escapes_ = 0;
 };
 
 /// Checks the per-row ordering invariant: within each sender row, for
 /// j > i, no N_j-packet lies strictly east of any N_i-packet.
 bool row_order_holds(const Sim& e, const FarthestFirstConstruction& geo,
-                     std::int32_t cn, std::size_t class_count) {
+                     std::size_t class_count) {
+  const std::int32_t cn = geo.cn();
   const std::int32_t width = e.mesh().width();
   // per row: min col per class and max col per class, then check chain.
   std::vector<std::vector<std::pair<std::int64_t, std::int32_t>>> rows(
@@ -187,21 +124,55 @@ bool row_order_holds(const Sim& e, const FarthestFirstConstruction& geo,
   return true;
 }
 
+/// Online checker of the farthest-first construction.
+///  * Escape discipline: class-i packets may leave the i-box (west of and
+///    including column n−i, below row cn) only through the top of their
+///    own column.
+///  * Row order: row_order_holds, sampled every 16 steps and at the
+///    certified step (a whole-band scan, too costly for every step).
+class FarthestFirstChecker : public Observer {
+ public:
+  FarthestFirstChecker(const FarthestFirstConstruction& geo,
+                       std::size_t class_count)
+      : geo_(geo), class_count_(class_count) {}
+
+  bool row_order_ok() const { return row_order_ok_; }
+
+  void on_move(const Sim& e, const Packet& pk, NodeId from,
+               NodeId to) override {
+    if (static_cast<std::size_t>(pk.id) >= class_count_) return;
+    const std::int64_t i = geo_.classify(e.mesh().coord_of(pk.source),
+                                         e.mesh().coord_of(pk.dest));
+    if (i == 0) return;
+    const Coord f = e.mesh().coord_of(from);
+    const Coord t = e.mesh().coord_of(to);
+    const bool in_box_f = f.col <= geo_.line(i) && f.row < geo_.cn();
+    const bool in_box_t = t.col <= geo_.line(i) && t.row < geo_.cn();
+    if (!in_box_f || in_box_t) return;
+    // The only exit is northward out of the own column (dimension-order
+    // paths never cross the N_i-column eastward for an N_i-packet).
+    MR_REQUIRE_MSG(f.col == geo_.line(i) && t.row == geo_.cn(),
+                   "farthest-first construction: class "
+                       << i << " left its box sideways at step " << e.step());
+  }
+
+  void on_step_end(const Sim& e) override {
+    const Step t = e.step();
+    if (row_order_ok_ && (t % 16 == 0 || t == geo_.certified_steps()))
+      row_order_ok_ = row_order_holds(e, geo_, class_count_);
+  }
+
+ private:
+  const FarthestFirstConstruction& geo_;
+  std::size_t class_count_;
+  bool row_order_ok_ = true;
+};
+
 }  // namespace
 
 FarthestFirstConstruction::FarthestFirstConstruction(
     const Mesh& mesh, const FarthestFirstLbParams& params)
-    : mesh_(mesh),
-      n_(params.n),
-      k_(params.k),
-      cn_(params.cn),
-      dn_(params.dn),
-      p_(params.p),
-      classes_(params.classes),
-      certified_(params.certified_steps) {
-  MR_REQUIRE_MSG(params.valid, "farthest_first_lb_params invalid");
-  MR_REQUIRE(mesh_.width() >= n_ && mesh_.height() >= n_);
-}
+    : LowerBoundConstruction(mesh, params) {}
 
 std::int64_t FarthestFirstConstruction::classify(Coord source,
                                                  Coord dest) const {
@@ -246,91 +217,25 @@ Workload FarthestFirstConstruction::placement() const {
   return w;
 }
 
-FarthestFirstConstruction::RunResult
-FarthestFirstConstruction::run_construction(const std::string& algorithm,
-                                            int k) {
-  return construct(algorithm, k, nullptr);
-}
-
 FarthestFirstConstruction::RunResult FarthestFirstConstruction::construct(
     const std::string& algorithm, int k,
-    std::vector<std::uint64_t>* stepwise_nodest) {
-  auto algo = make_algorithm(algorithm);
-  const int per_node_capacity =
-      algo->queue_layout() == QueueLayout::PerInlink ? 4 * k : k;
-  MR_REQUIRE_MSG(per_node_capacity <= k_,
-                 "construction sized for capacity " << k_);
-  Engine::Config config;
-  config.queue_capacity = k;
-  config.stall_limit = 0;
-  Engine engine(mesh_, config, *algo);
+    std::vector<std::uint64_t>* stepwise_nodest) const {
   const Workload w = placement();
-  for (const Demand& d : w) engine.add_packet(d.source, d.dest, d.injected_at);
-
-  FarthestFirstInterceptor interceptor(*this, cn_, dn_, classes_, w.size());
-  engine.set_interceptor(&interceptor);
-  FarthestFirstChecker checker(*this, cn_, dn_, w.size());
-  engine.add_observer(&checker);
-  engine.prepare();
-
-  RunResult result;
-  if (stepwise_nodest != nullptr)
-    stepwise_nodest->reserve(static_cast<std::size_t>(certified_));
-  for (Step t = 1; t <= certified_; ++t) {
-    MR_REQUIRE_MSG(engine.step_once(),
-                   "network drained before the certified bound");
-    if (stepwise_nodest != nullptr)
-      stepwise_nodest->push_back(engine.fingerprint(false));
-    if (result.row_order_ok && t % 16 == 0)
-      result.row_order_ok = row_order_holds(engine, *this, cn_, w.size());
-  }
-  result.row_order_ok =
-      result.row_order_ok && row_order_holds(engine, *this, cn_, w.size());
-  result.steps = certified_;
-  result.exchanges = interceptor.exchanges();
-  result.undelivered = engine.num_packets() - engine.delivered_count();
-  result.final_fingerprint = engine.fingerprint(true);
-  result.constructed.reserve(engine.num_packets());
-  for (const Packet& pk : engine.all_packets())
-    result.constructed.push_back(Demand{pk.source, pk.dest, pk.injected_at});
+  FarthestFirstRule exchanger(*this, w.size());
+  FarthestFirstChecker checker(*this, w.size());
+  RunResult result{drive(algorithm, k, w, exchanger, {&checker},
+                         stepwise_nodest)};
+  result.row_order_ok = checker.row_order_ok();
   return result;
 }
 
 FarthestFirstConstruction::ReplayResult
 FarthestFirstConstruction::verify_replay(const std::string& algorithm, int k,
-                                         Step replay_budget) {
+                                         Step replay_budget) const {
   ReplayResult out;
   std::vector<std::uint64_t> stepwise_nodest;
   out.construction = construct(algorithm, k, &stepwise_nodest);
-
-  auto algo = make_algorithm(algorithm);
-  Engine::Config config;
-  config.queue_capacity = k;
-  config.stall_limit = 0;
-  Engine replay(mesh_, config, *algo);
-  for (const Demand& d : out.construction.constructed)
-    replay.add_packet(d.source, d.dest, d.injected_at);
-  replay.prepare();
-
-  for (Step t = 1; t <= certified_; ++t) {
-    MR_REQUIRE(replay.step_once());
-    if (replay.fingerprint(false) !=
-        stepwise_nodest[static_cast<std::size_t>(t - 1)]) {
-      out.stepwise_match = false;
-      if (out.first_mismatch < 0) out.first_mismatch = t;
-    }
-  }
-  out.final_match =
-      replay.fingerprint(true) == out.construction.final_fingerprint;
-  out.undelivered_at_certified =
-      replay.num_packets() - replay.delivered_count();
-
-  const Step budget = replay_budget > 0
-                          ? replay_budget
-                          : certified_ + 16LL * n_ * n_ / std::max(1, k) +
-                                64LL * n_;
-  out.replay_total_steps = replay.run(budget);
-  out.replay_all_delivered = replay.all_delivered();
+  replay(algorithm, k, out.construction, stepwise_nodest, replay_budget, out);
   return out;
 }
 

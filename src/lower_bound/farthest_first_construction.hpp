@@ -18,19 +18,16 @@
 #include <vector>
 
 #include "lower_bound/constants.hpp"
-#include "sim/engine.hpp"
+#include "lower_bound/construction.hpp"
 #include "topo/mesh.hpp"
 #include "workload/permutation.hpp"
 
 namespace mr {
 
-class FarthestFirstConstruction {
+class FarthestFirstConstruction : public LowerBoundConstruction {
  public:
   FarthestFirstConstruction(const Mesh& mesh,
                             const FarthestFirstLbParams& params);
-
-  Step certified_steps() const { return certified_; }
-  std::int64_t num_classes() const { return classes_; }
 
   /// 0-based column of the N_i-column (column n−i).
   std::int32_t line(std::int64_t i) const {
@@ -42,47 +39,26 @@ class FarthestFirstConstruction {
 
   Workload placement() const;
 
-  struct RunResult {
-    Step steps = 0;
-    std::size_t exchanges = 0;
-    std::size_t undelivered = 0;
-    bool row_order_ok = true;  ///< the per-row class-ordering invariant
-    /// Full fingerprint at the certified step. The per-step
-    /// destination-less fingerprints are recorded only by verify_replay.
-    std::uint64_t final_fingerprint = 0;
-    Workload constructed;
+  struct RunResult : ConstructionRun {
+    /// The per-row class-ordering invariant, sampled every 16 steps and at
+    /// the certified step.
+    bool row_order_ok = true;
   };
-  RunResult run_construction(const std::string& algorithm, int k);
+  RunResult run_construction(const std::string& algorithm, int k) const {
+    return construct(algorithm, k, nullptr);
+  }
 
-  struct ReplayResult {
-    RunResult construction;
-    /// Farthest-first uses full destinations, so stepwise destination-less
-    /// equality is NOT implied by Lemma 10; we still measure it.
-    bool stepwise_match = true;
-    bool final_match = true;
-    Step first_mismatch = -1;
-    std::size_t undelivered_at_certified = 0;
-    Step replay_total_steps = 0;
-    bool replay_all_delivered = false;
-  };
+  /// Farthest-first uses full destinations, so stepwise destination-less
+  /// equality is NOT implied by Lemma 10; we still measure it.
+  using ReplayResult = ConstructionReplay<RunResult>;
   ReplayResult verify_replay(const std::string& algorithm, int k,
-                             Step replay_budget = 0);
+                             Step replay_budget = 0) const;
 
  private:
-  /// The construction run behind run_construction and verify_replay. When
-  /// `stepwise_nodest` is non-null, the destination-less fingerprint after
-  /// every step is appended to it.
+  /// The construction run behind run_construction and verify_replay; see
+  /// LowerBoundConstruction::drive for `stepwise_nodest`.
   RunResult construct(const std::string& algorithm, int k,
-                      std::vector<std::uint64_t>* stepwise_nodest);
-
-  Mesh mesh_;
-  std::int32_t n_;
-  int k_;
-  std::int32_t cn_;
-  std::int32_t dn_;
-  std::int64_t p_;
-  std::int64_t classes_;
-  Step certified_;
+                      std::vector<std::uint64_t>* stepwise_nodest) const;
 };
 
 }  // namespace mr

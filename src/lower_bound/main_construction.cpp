@@ -1,47 +1,59 @@
 #include "lower_bound/main_construction.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "check/oracles.hpp"
 #include "core/rng.hpp"
-#include "routing/registry.hpp"
 
 namespace mr {
 
 namespace {
 
 /// Exchange rules EX1–EX4 (§3 step 3), applied between scheduling and
-/// acceptance. Iterates to a fixed point: an exchange can re-expose a
-/// violation on an already-scanned move (the partner's own scheduled move
-/// changes class), but never creates one at a previously clean move.
-class ExchangeInterceptor : public StepInterceptor {
+/// acceptance.
+class MainExchangeRule : public ExchangeInterceptor<MainExchangeRule> {
  public:
-  ExchangeInterceptor(const MainGeometry& geometry, std::int32_t dn,
-                      std::size_t class_packet_count)
-      : geo_(geometry), dn_(dn), class_count_(class_packet_count) {}
+  MainExchangeRule(const MainGeometry& geometry, std::int32_t dn,
+                   std::size_t class_packet_count)
+      : ExchangeInterceptor(geometry.classes() * dn),
+        geo_(geometry),
+        dn_(dn),
+        class_count_(class_packet_count) {}
 
-  std::size_t exchanges() const { return exchanges_; }
-
-  void after_schedule(Sim& e, std::span<const ScheduledMove> moves) override {
+  /// The partner the move's packet must exchange with, or kInvalidPacket.
+  PacketId partner_for(const Sim& e, const ScheduledMove& m) const {
     const Step t = e.step();
-    if (t > geo_.classes() * dn_) return;  // all exchange windows closed
+    const Coord v = e.mesh().coord_of(m.to);
+    if (v.col >= geo_.size() || v.row >= geo_.size()) return kInvalidPacket;
+    const PacketClass cls = classify(e, m.packet);
+    if (cls.type == ClassType::None) return kInvalidPacket;
 
-    // Map packet -> scheduled target (for partner-eligibility checks).
-    scheduled_target_.assign(e.num_packets(), kInvalidNode);
-    for (const ScheduledMove& m : moves)
-      scheduled_target_[m.packet] = m.to;
-
-    bool changed = true;
-    std::size_t rounds = 0;
-    while (changed) {
-      changed = false;
-      MR_REQUIRE_MSG(++rounds <= moves.size() + 4,
-                     "exchange fix-point failed to converge");
-      for (const ScheduledMove& m : moves) {
-        if (apply_rules(e, m)) changed = true;
+    if (v.row < v.col) {
+      // Entering the N_i-column south of the E_i-row, i = column index − γ.
+      const std::int64_t i = v.col - geo_.line(0);
+      if (i < 1 || i > geo_.classes() || t > i * dn_) return kInvalidPacket;
+      const bool ex2 = cls.type == ClassType::N && cls.i > i;   // EX2
+      const bool ex3 = cls.type == ClassType::E && cls.i >= i;  // EX3
+      if (cls.type == ClassType::N && cls.i < i) {
+        // An N_j-packet (j < i) can never be east of its own column.
+        MR_REQUIRE_MSG(false, "N_" << cls.i << " packet east of its column");
       }
+      if (!ex2 && !ex3) return kInvalidPacket;
+      return partner(e, m.packet, ClassType::N, i, /*line_is_column=*/true);
     }
+    if (v.col < v.row) {
+      // Entering the E_i-row west of the N_i-column.
+      const std::int64_t i = v.row - geo_.line(0);
+      if (i < 1 || i > geo_.classes() || t > i * dn_) return kInvalidPacket;
+      const bool ex1 = cls.type == ClassType::E && cls.i > i;   // EX1
+      const bool ex4 = cls.type == ClassType::N && cls.i >= i;  // EX4
+      if (cls.type == ClassType::E && cls.i < i) {
+        MR_REQUIRE_MSG(false, "E_" << cls.i << " packet north of its row");
+      }
+      if (!ex1 && !ex4) return kInvalidPacket;
+      return partner(e, m.packet, ClassType::E, i, /*line_is_column=*/false);
+    }
+    return kInvalidPacket;  // the i-box corner is not covered by any rule
   }
 
  private:
@@ -52,46 +64,8 @@ class ExchangeInterceptor : public StepInterceptor {
                          e.mesh().coord_of(pk.dest));
   }
 
-  /// Returns true if an exchange was performed for this move.
-  bool apply_rules(Sim& e, const ScheduledMove& m) {
-    const Step t = e.step();
-    const Coord v = e.mesh().coord_of(m.to);
-    if (v.col >= geo_.size() || v.row >= geo_.size()) return false;
-    const PacketClass cls = classify(e, m.packet);
-    if (cls.type == ClassType::None) return false;
-
-    if (v.row < v.col) {
-      // Entering the N_i-column south of the E_i-row, i = column index − γ.
-      const std::int64_t i = v.col - geo_.line(0);
-      if (i < 1 || i > geo_.classes() || t > i * dn_) return false;
-      const bool ex2 = cls.type == ClassType::N && cls.i > i;   // EX2
-      const bool ex3 = cls.type == ClassType::E && cls.i >= i;  // EX3
-      if (cls.type == ClassType::N && cls.i < i) {
-        // An N_j-packet (j < i) can never be east of its own column.
-        MR_REQUIRE_MSG(false, "N_" << cls.i << " packet east of its column");
-      }
-      if (!ex2 && !ex3) return false;
-      exchange_with(e, m.packet, ClassType::N, i, /*line_is_column=*/true);
-      return true;
-    }
-    if (v.col < v.row) {
-      // Entering the E_i-row west of the N_i-column.
-      const std::int64_t i = v.row - geo_.line(0);
-      if (i < 1 || i > geo_.classes() || t > i * dn_) return false;
-      const bool ex1 = cls.type == ClassType::E && cls.i > i;   // EX1
-      const bool ex4 = cls.type == ClassType::N && cls.i >= i;  // EX4
-      if (cls.type == ClassType::E && cls.i < i) {
-        MR_REQUIRE_MSG(false, "E_" << cls.i << " packet north of its row");
-      }
-      if (!ex1 && !ex4) return false;
-      exchange_with(e, m.packet, ClassType::E, i, /*line_is_column=*/false);
-      return true;
-    }
-    return false;  // the i-box corner is not covered by any rule
-  }
-
-  void exchange_with(Sim& e, PacketId mover, ClassType want,
-                     std::int64_t i, bool line_is_column) {
+  PacketId partner(const Sim& e, PacketId mover, ClassType want,
+                   std::int64_t i, bool line_is_column) const {
     // Partner: a packet of class (want, i) inside the (i−1)-box that is not
     // scheduled to enter the N_i-column / E_i-row (Lemmas 3/4 guarantee one
     // exists). Prefer partners with no scheduled move at all — this cannot
@@ -111,7 +85,7 @@ class ExchangeInterceptor : public StepInterceptor {
       const NodeId at =
           pk.location != kInvalidNode ? pk.location : pk.source;
       if (!geo_.in_box(e.mesh().coord_of(at), i - 1)) continue;
-      const NodeId target = scheduled_target_[p];
+      const NodeId target = scheduled_target(p);
       if (target == kInvalidNode) {
         first_unscheduled = p;
         break;  // ids ascend, so this is the preferred partner
@@ -129,15 +103,12 @@ class ExchangeInterceptor : public StepInterceptor {
                    "Lemma 3/4 violated: no eligible exchange partner for "
                    "class "
                        << i << " at step " << e.step());
-    e.exchange_destinations(mover, best);
-    ++exchanges_;
+    return best;
   }
 
   const MainGeometry& geo_;
   std::int32_t dn_;
   std::size_t class_count_;
-  std::size_t exchanges_ = 0;
-  std::vector<NodeId> scheduled_target_;
 };
 
 }  // namespace
@@ -145,44 +116,22 @@ class ExchangeInterceptor : public StepInterceptor {
 MainConstruction::MainConstruction(const Mesh& mesh,
                                    const MainLbParams& params,
                                    MainConstructionOptions options)
-    : mesh_(mesh),
-      size_(params.n),
-      k_(params.k),
-      h_(1),
-      cn_(params.cn),
-      dn_(params.dn),
-      p_(params.p),
-      classes_(params.classes),
-      certified_(params.certified_steps),
-      options_(options),
-      geometry_(params.n, params.cn, params.classes) {
-  init_common();
-  MR_REQUIRE_MSG(params.valid, "main_lb_params invalid for n=" << params.n
-                                                               << " k="
-                                                               << params.k);
-}
+    : MainConstruction(mesh, params, 1, options) {}
 
 MainConstruction::MainConstruction(const Mesh& mesh, const HhLbParams& params,
                                    MainConstructionOptions options)
-    : mesh_(mesh),
-      size_(params.n),
-      k_(params.k),
-      h_(params.h),
-      cn_(params.cn),
-      dn_(params.dn),
-      p_(params.p),
-      classes_(params.classes),
-      certified_(params.certified_steps),
-      options_(options),
-      geometry_(params.n, params.cn, params.classes) {
-  init_common();
-  MR_REQUIRE_MSG(params.valid, "hh_lb_params invalid");
+    : MainConstruction(mesh, params, params.h, options) {
   MR_REQUIRE_MSG(!options_.full_permutation,
                  "full-permutation filler is only defined for h = 1");
 }
 
-void MainConstruction::init_common() {
-  MR_REQUIRE(mesh_.width() >= size_ && mesh_.height() >= size_);
+template <typename Params>
+MainConstruction::MainConstruction(const Mesh& mesh, const Params& params,
+                                   int h, MainConstructionOptions options)
+    : LowerBoundConstruction(mesh, params),
+      h_(h),
+      options_(options),
+      geometry_(params.n, params.cn, params.classes) {
   MR_REQUIRE(cn_ >= 2);  // the geometry needs a non-degenerate 0-box
 }
 
@@ -201,12 +150,12 @@ Workload MainConstruction::placement() const {
     if (cls.type == ClassType::N) {
       const std::int64_t j = n_count[cls.i]++;
       dest = Coord{geometry_.line(cls.i),
-                   static_cast<std::int32_t>(size_ - 1 - j / h_)};
+                   static_cast<std::int32_t>(n_ - 1 - j / h_)};
       MR_REQUIRE_MSG(dest.row > geometry_.line(cls.i),
                      "N-destination capacity exhausted");
     } else {
       const std::int64_t j = e_count[cls.i]++;
-      dest = Coord{static_cast<std::int32_t>(size_ - 1 - j / h_),
+      dest = Coord{static_cast<std::int32_t>(n_ - 1 - j / h_),
                    geometry_.line(cls.i)};
       MR_REQUIRE_MSG(dest.col > geometry_.line(cls.i),
                      "E-destination capacity exhausted");
@@ -258,7 +207,7 @@ Workload MainConstruction::placement() const {
   MR_REQUIRE(next == slots.size());
 
   if (options_.full_permutation) {
-    MR_REQUIRE_MSG(mesh_.width() == size_ && mesh_.height() == size_,
+    MR_REQUIRE_MSG(mesh_.width() == n_ && mesh_.height() == n_,
                    "full permutation filler needs mesh == construction size");
     std::unordered_set<NodeId> used_sources, used_dests;
     for (const Demand& d : w) {
@@ -294,120 +243,50 @@ Workload MainConstruction::placement() const {
 }
 
 MainConstruction::RunResult MainConstruction::run_construction(
-    const std::string& algorithm, int k, Observer* extra_observer) {
+    const std::string& algorithm, int k, StepObserver* extra_observer) const {
   return construct(algorithm, k, extra_observer, nullptr);
 }
 
 MainConstruction::RunResult MainConstruction::construct(
-    const std::string& algorithm, int k, Observer* extra_observer,
-    std::vector<std::uint64_t>* stepwise_nodest) {
-  auto algo = make_algorithm(algorithm);
-  MR_REQUIRE_MSG(algo->minimal(), "construction applies to minimal routers");
-  // The counting argument (Lemmas 3/4) uses the total per-node buffer
-  // capacity: k for a central queue, 4k for the per-inlink layout. The
-  // construction must be sized for at least the actual capacity.
-  const int per_node_capacity =
-      algo->queue_layout() == QueueLayout::PerInlink ? 4 * k : k;
-  MR_REQUIRE_MSG(per_node_capacity <= k_,
-                 "construction sized for total capacity "
-                     << k_ << " but the router buffers " << per_node_capacity
-                     << " per node");
-
-  Engine::Config config;
-  config.queue_capacity = k;
-  config.stall_limit = 0;  // heavy congestion is the whole point
-  Engine engine(mesh_, config, *algo);
-  const Workload w = placement();
-  const std::size_t class_count =
-      static_cast<std::size_t>(2 * p_ * classes_);
-  for (const Demand& d : w) engine.add_packet(d.source, d.dest, d.injected_at);
-
-  ExchangeInterceptor exchanger(geometry_, dn_, class_count);
-  engine.set_interceptor(&exchanger);
+    const std::string& algorithm, int k, StepObserver* extra_observer,
+    std::vector<std::uint64_t>* stepwise_nodest) const {
+  const std::size_t class_count = static_cast<std::size_t>(2 * p_ * classes_);
+  MainExchangeRule exchanger(geometry_, dn_, class_count);
   // Lemmas 1-8 are checked by the shared box-escape oracle from the
   // differential-verification subsystem (check/oracles.hpp).
   BoxEscapeOracle checker(geometry_, dn_, class_count);
-  if (options_.check_invariants) engine.add_observer(&checker);
-  if (extra_observer != nullptr) engine.add_observer(extra_observer);
-
-  engine.prepare();
-  RunResult result;
-  if (stepwise_nodest != nullptr)
-    stepwise_nodest->reserve(static_cast<std::size_t>(certified_));
-  for (Step t = 1; t <= certified_; ++t) {
-    MR_REQUIRE_MSG(engine.step_once(),
-                   "network drained before the certified bound — Corollary 9 "
-                   "violated");
-    if (stepwise_nodest != nullptr)
-      stepwise_nodest->push_back(engine.fingerprint(false));
-  }
-  result.steps = certified_;
-  result.exchanges = exchanger.exchanges();
-  result.delivered = engine.delivered_count();
-  result.undelivered = engine.num_packets() - engine.delivered_count();
+  std::int64_t in_box = 0;
+  RunResult result{drive(algorithm, k, placement(), exchanger,
+                         {&checker, extra_observer}, stepwise_nodest,
+                         [&](const Sim& e) { in_box = last_class_in_box(e); })};
+  result.last_class_in_box = in_box;
   result.max_escapes_per_step = checker.max_escapes_per_step();
-  result.final_fingerprint = engine.fingerprint(true);
-
-  // Corollary 9 census: class-⌊l⌋ packets still confined to the ⌊l⌋-box
-  // (packets awaiting injection count at their source).
-  for (std::size_t id = 0; id < class_count; ++id) {
-    const Packet& pk = engine.packet(static_cast<PacketId>(id));
-    if (pk.delivered()) continue;
-    const NodeId at = pk.location != kInvalidNode ? pk.location : pk.source;
-    const PacketClass cls = geometry_.classify(
-        mesh_.coord_of(pk.source), mesh_.coord_of(pk.dest));
-    if (cls.type != ClassType::None && cls.i == classes_ &&
-        geometry_.in_box(mesh_.coord_of(at), classes_)) {
-      ++result.last_class_in_box;
-    }
-  }
-
-  // §3 step 4: the constructed permutation.
-  result.constructed.reserve(engine.num_packets());
-  for (const Packet& pk : engine.all_packets())
-    result.constructed.push_back(Demand{pk.source, pk.dest, pk.injected_at});
   return result;
 }
 
+std::int64_t MainConstruction::last_class_in_box(const Sim& e) const {
+  const std::size_t class_count = static_cast<std::size_t>(2 * p_ * classes_);
+  std::int64_t count = 0;
+  for (std::size_t id = 0; id < class_count; ++id) {
+    const Packet& pk = e.packet(static_cast<PacketId>(id));
+    if (pk.delivered()) continue;
+    const NodeId at = pk.location != kInvalidNode ? pk.location : pk.source;
+    const PacketClass cls = geometry_.classify(mesh_.coord_of(pk.source),
+                                               mesh_.coord_of(pk.dest));
+    if (cls.type != ClassType::None && cls.i == classes_ &&
+        geometry_.in_box(mesh_.coord_of(at), classes_)) {
+      ++count;
+    }
+  }
+  return count;
+}
+
 MainConstruction::ReplayResult MainConstruction::verify_replay(
-    const std::string& algorithm, int k, Step replay_budget) {
+    const std::string& algorithm, int k, Step replay_budget) const {
   ReplayResult out;
   std::vector<std::uint64_t> stepwise_nodest;
   out.construction = construct(algorithm, k, nullptr, &stepwise_nodest);
-
-  auto algo = make_algorithm(algorithm);
-  Engine::Config config;
-  config.queue_capacity = k;
-  config.stall_limit = 0;
-  Engine replay(mesh_, config, *algo);
-  for (const Demand& d : out.construction.constructed)
-    replay.add_packet(d.source, d.dest, d.injected_at);
-  replay.prepare();
-
-  // Lemma 12: at every step t the replay equals the construction up to the
-  // not-yet-performed exchanges, which only permute destinations — so the
-  // destination-less configurations must be identical...
-  for (Step t = 1; t <= certified_; ++t) {
-    MR_REQUIRE(replay.step_once());
-    if (replay.fingerprint(false) !=
-        stepwise_nodest[static_cast<std::size_t>(t - 1)]) {
-      out.stepwise_match = false;
-      if (out.first_mismatch < 0) out.first_mismatch = t;
-    }
-  }
-  // ...and at step ⌊l⌋·dn no exchanges are pending, so the full
-  // configurations coincide (Theorem 13), leaving an undelivered packet.
-  out.final_match =
-      replay.fingerprint(true) == out.construction.final_fingerprint;
-  out.undelivered_at_certified =
-      replay.num_packets() - replay.delivered_count();
-
-  const Step budget = replay_budget > 0
-                          ? replay_budget
-                          : certified_ + 16LL * size_ * size_ / std::max(1, k) +
-                                64LL * size_;
-  out.replay_total_steps = replay.run(budget);
-  out.replay_all_delivered = replay.all_delivered();
+  replay(algorithm, k, out.construction, stepwise_nodest, replay_budget, out);
   return out;
 }
 

@@ -25,7 +25,7 @@
 
 #include "lower_bound/classes.hpp"
 #include "lower_bound/constants.hpp"
-#include "sim/engine.hpp"
+#include "lower_bound/construction.hpp"
 #include "topo/mesh.hpp"
 #include "workload/permutation.hpp"
 
@@ -38,11 +38,9 @@ struct MainConstructionOptions {
   /// Shuffle the 0-box arrangement with this seed (0 = canonical order);
   /// any arrangement satisfying the §3 constraints must yield the bound.
   std::uint64_t placement_seed = 0;
-  /// Check Lemmas 1–8 online during the construction run.
-  bool check_invariants = true;
 };
 
-class MainConstruction {
+class MainConstruction : public LowerBoundConstruction {
  public:
   /// Main construction (§3/§4) on `mesh`, which may be larger than
   /// params.n (torus embedding, §5): the construction occupies columns and
@@ -55,69 +53,49 @@ class MainConstruction {
                    MainConstructionOptions options = {});
 
   const MainGeometry& geometry() const { return geometry_; }
-  Step certified_steps() const { return certified_; }
   std::int64_t packets_per_class() const { return p_; }
-  std::int64_t num_classes() const { return classes_; }
   int h() const { return h_; }
 
   /// The §3 step-1 initial arrangement (plus step-2 fillers if requested).
   Workload placement() const;
 
-  struct RunResult {
-    Step steps = 0;                 ///< ⌊l⌋·dn (steps executed)
-    std::size_t exchanges = 0;      ///< destination exchanges performed
-    std::size_t delivered = 0;      ///< packets delivered during the run
-    std::size_t undelivered = 0;    ///< must be > 0 (Corollary 9)
+  /// Steps = ⌊l⌋·dn; undelivered must be > 0 (Corollary 9).
+  struct RunResult : ConstructionRun {
     /// Class-⌊l⌋ packets still inside the ⌊l⌋-box at the end — Corollary 9
     /// guarantees ≥ 2(p − dn) of them.
     std::int64_t last_class_in_box = 0;
     std::int64_t max_escapes_per_step = 0;  ///< Lemma 2 says ≤ 1 per type
-    /// Full fingerprint at step ⌊l⌋·dn. The per-step destination-less
-    /// fingerprints Lemma 12 compares are recorded only by verify_replay.
-    std::uint64_t final_fingerprint = 0;
-    Workload constructed;  ///< the constructed permutation (§3 step 4)
   };
 
   /// Runs the construction against the named algorithm with queue size k.
   /// extra_observer (optional) is attached to the engine for the whole run.
   RunResult run_construction(const std::string& algorithm, int k,
-                             Observer* extra_observer = nullptr);
+                             StepObserver* extra_observer = nullptr) const;
 
-  struct ReplayResult {
-    RunResult construction;
-    bool stepwise_match = true;  ///< dest-less configs equal at every step
-    bool final_match = true;     ///< full configs equal at step ⌊l⌋·dn
-    Step first_mismatch = -1;
-    std::size_t undelivered_at_certified = 0;  ///< Theorem 13: ≥ 1
-    Step replay_total_steps = 0;   ///< steps until the replay fully drains
-    bool replay_all_delivered = false;
-  };
+  using ReplayResult = ConstructionReplay<RunResult>;
 
   /// Full Theorem 13 verification: construction, extraction, lock-step
   /// replay comparison, then runs the replay to completion.
   /// replay_budget = 0 uses a generous default.
   ReplayResult verify_replay(const std::string& algorithm, int k,
-                             Step replay_budget = 0);
+                             Step replay_budget = 0) const;
 
  private:
-  void init_common();
-  /// The construction run behind run_construction and verify_replay. When
-  /// `stepwise_nodest` is non-null, the destination-less fingerprint after
-  /// every step is appended to it (a whole-mesh hash per step, paid only
-  /// when a replay compares against it).
-  RunResult construct(const std::string& algorithm, int k,
-                      Observer* extra_observer,
-                      std::vector<std::uint64_t>* stepwise_nodest);
+  template <typename Params>
+  MainConstruction(const Mesh& mesh, const Params& params, int h,
+                   MainConstructionOptions options);
 
-  Mesh mesh_;
-  std::int32_t size_;  ///< construction side length (paper's n)
-  int k_;
+  /// The construction run behind run_construction and verify_replay; see
+  /// LowerBoundConstruction::drive for `stepwise_nodest`.
+  RunResult construct(const std::string& algorithm, int k,
+                      StepObserver* extra_observer,
+                      std::vector<std::uint64_t>* stepwise_nodest) const;
+
+  /// Corollary 9 census: class-⌊l⌋ packets still confined to the ⌊l⌋-box
+  /// (packets awaiting injection count at their source).
+  std::int64_t last_class_in_box(const Sim& e) const;
+
   int h_;
-  std::int32_t cn_;
-  std::int32_t dn_;
-  std::int64_t p_;
-  std::int64_t classes_;
-  Step certified_;
   MainConstructionOptions options_;
   MainGeometry geometry_;
 };

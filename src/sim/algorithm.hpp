@@ -168,14 +168,15 @@ class StepObserver {
   virtual void on_step(const Sim&, const StepDigest&) = 0;
 };
 
-/// Legacy per-event observation hook, retained as a thin adapter over the
-/// digest callback (see LegacyObserverAdapter): per step the adapter
-/// replays injected deliveries, then each move (with on_deliver after the
-/// delivering hop), then on_step_end — the exact event order the engine
-/// used to emit inline. Prefer StepObserver for new code.
-class Observer {
+/// Per-event observation on top of the digest: a StepObserver whose
+/// on_prepare/on_step replay each StepDigest as on_deliver / on_move /
+/// on_step_end calls. Per step it reports the injected deliveries, then
+/// each move (with on_deliver right after a delivering hop), then
+/// on_step_end — the order the engine emitted inline before digests
+/// existed. It costs a virtual call per event, so prefer StepObserver
+/// for new code.
+class Observer : public StepObserver {
  public:
-  virtual ~Observer() = default;
   /// Called once at the end of prepare(): the initial configuration is
   /// final and source==dest packets have already been delivered (step 0).
   virtual void on_prepare_end(const Sim&) {}
@@ -185,20 +186,9 @@ class Observer {
     (void)from;
     (void)to;
   }
-};
 
-/// Replays a StepDigest as the legacy per-event callback sequence.
-/// Sim::add_observer(Observer*) wraps each legacy observer in one of
-/// these; the replayed event order is bit-identical to the order the
-/// pre-digest engine emitted inline.
-class LegacyObserverAdapter final : public StepObserver {
- public:
-  explicit LegacyObserverAdapter(Observer* legacy) : legacy_(legacy) {}
-  void on_prepare(const Sim& e, const StepDigest& d) override;
-  void on_step(const Sim& e, const StepDigest& d) override;
-
- private:
-  Observer* legacy_;
+  void on_prepare(const Sim& e, const StepDigest& d) final;
+  void on_step(const Sim& e, const StepDigest& d) final;
 };
 
 }  // namespace mr

@@ -38,9 +38,10 @@
 // Observation is digest-based: the engine batches each step's moves,
 // deliveries and counters into one StepDigest and dispatches a single
 // on_step callback per observer per step — no virtual calls on the
-// per-move hot path. Legacy per-event Observers attach through
-// LegacyObserverAdapter with bit-identical event order. Optional phase
-// profiling (set_phase_profiling) accumulates wall-clock per §3 phase.
+// per-move hot path. A per-event Observer is a StepObserver that replays
+// the digest as on_move/on_deliver/on_step_end calls, in the order the
+// engine once emitted them inline. Optional phase profiling
+// (set_phase_profiling) accumulates wall-clock per §3 phase.
 #pragma once
 
 #include <array>

@@ -46,12 +46,6 @@ void Sim::add_observer(StepObserver* observer) {
   observers_.push_back(observer);
 }
 
-void Sim::add_observer(Observer* observer) {
-  MR_REQUIRE(observer != nullptr);
-  adapters_.push_back(std::make_unique<LegacyObserverAdapter>(observer));
-  observers_.push_back(adapters_.back().get());
-}
-
 PacketId Sim::register_packet(NodeId source, NodeId dest, Step injected_at) {
   MR_REQUIRE(source >= 0 && source < num_nodes_);
   MR_REQUIRE(dest >= 0 && dest < num_nodes_);
@@ -143,19 +137,19 @@ std::uint64_t Sim::fingerprint(bool include_dest) const {
   return f.h;
 }
 
-void LegacyObserverAdapter::on_prepare(const Sim& e, const StepDigest& d) {
-  for (PacketId p : d.injected_deliveries) legacy_->on_deliver(e, e.packet(p));
-  legacy_->on_prepare_end(e);
+void Observer::on_prepare(const Sim& e, const StepDigest& d) {
+  for (PacketId p : d.injected_deliveries) on_deliver(e, e.packet(p));
+  on_prepare_end(e);
 }
 
-void LegacyObserverAdapter::on_step(const Sim& e, const StepDigest& d) {
-  for (PacketId p : d.injected_deliveries) legacy_->on_deliver(e, e.packet(p));
+void Observer::on_step(const Sim& e, const StepDigest& d) {
+  for (PacketId p : d.injected_deliveries) on_deliver(e, e.packet(p));
   for (const MoveRecord& m : d.moves) {
     const Packet& pk = e.packet(m.packet);
-    legacy_->on_move(e, pk, m.from, m.to);
-    if (m.delivered) legacy_->on_deliver(e, pk);
+    on_move(e, pk, m.from, m.to);
+    if (m.delivered) on_deliver(e, pk);
   }
-  legacy_->on_step_end(e);
+  on_step_end(e);
 }
 
 }  // namespace mr

@@ -40,8 +40,6 @@
 namespace mr {
 
 class StepObserver;
-class Observer;
-class LegacyObserverAdapter;
 
 class Sim {
  public:
@@ -62,12 +60,10 @@ class Sim {
   QueueLayout queue_layout() const { return layout_; }
 
   // --- observation -------------------------------------------------------
-  /// Registers a digest observer: one on_step callback per executed step.
+  /// Registers an observer: one on_step callback per executed step, in
+  /// registration order. Per-event Observers (algorithm.hpp) attach here
+  /// too.
   void add_observer(StepObserver* observer);
-  /// Registers a legacy per-event observer by wrapping it in a
-  /// LegacyObserverAdapter (owned by the sim). Event order is identical
-  /// to the historical inline dispatch.
-  void add_observer(Observer* observer);
 
   // --- queries (valid during callbacks and between steps) ---------------
   /// Number of the step currently executing (1-based), or of the last
@@ -206,9 +202,6 @@ class Sim {
   std::vector<std::uint64_t> node_state_;
 
   std::vector<StepObserver*> observers_;
-  /// Adapters created by add_observer(Observer*); entries in observers_
-  /// may point at these.
-  std::vector<std::unique_ptr<LegacyObserverAdapter>> adapters_;
 
   Step step_ = 0;
   std::size_t delivered_count_ = 0;

@@ -86,17 +86,6 @@ TEST(Exchange, NoExchangesAfterAllWindowsClose) {
   EXPECT_EQ(full.steps, par.certified_steps);
 }
 
-TEST(Exchange, InvariantCheckerCanBeDisabled) {
-  const MainLbParams par = main_lb_params(60, 1);
-  const Mesh mesh = Mesh::square(60);
-  MainConstructionOptions options;
-  options.check_invariants = false;
-  MainConstruction construction(mesh, par, options);
-  const auto result = construction.run_construction("dimension-order", 1);
-  EXPECT_GT(result.undelivered, 0u);
-  EXPECT_EQ(result.max_escapes_per_step, 0);  // checker off: no data
-}
-
 TEST(Exchange, DifferentAlgorithmsDifferentPermutations) {
   // The construction is algorithm-specific: different routers usually get
   // different constructed permutations.

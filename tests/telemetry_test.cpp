@@ -1,7 +1,8 @@
-// Telemetry subsystem tests: the LegacyObserverAdapter reproduces the
-// historical per-event callback stream exactly, the TelemetryCollector's
-// stride-doubling series stays bounded and lossless in its sums, and the
-// meshroute-telemetry/1 export round-trips through the json_min validator.
+// Telemetry subsystem tests: a per-event Observer replays each step digest
+// as the historical per-event callback stream exactly, the
+// TelemetryCollector's stride-doubling series stays bounded and lossless in
+// its sums, and the meshroute-telemetry/1 export round-trips through the
+// json_min validator.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -23,9 +24,9 @@
 namespace mr {
 namespace {
 
-/// Rebuilds the legacy TraceRecorder event stream from step digests: the
-/// adapter contract is injected deliveries first, then each MoveRecord as
-/// on_move (+ on_deliver when it delivered).
+/// Rebuilds the TraceRecorder event stream from step digests: an Observer
+/// replays injected deliveries first, then each MoveRecord as on_move
+/// (+ on_deliver when it delivered).
 class DigestTraceRebuilder final : public StepObserver {
  public:
   void on_prepare(const Sim& e, const StepDigest& d) override {
@@ -83,15 +84,15 @@ EngineRun make_run(const std::string& router, std::int32_t n, bool torus,
   return run;
 }
 
-TEST(LegacyAdapter, DigestStreamMatchesTraceRecorder) {
+TEST(ObserverReplay, DigestStreamMatchesTraceRecorder) {
   for (const std::string& router :
        {std::string("adaptive-alternate"), std::string("stray-2"),
         std::string("bounded-dimension-order")}) {
-    EngineRun legacy = make_run(router, 10, false, 2, 11);
+    EngineRun per_event = make_run(router, 10, false, 2, 11);
     TraceRecorder trace;
-    legacy.engine->add_observer(&trace);
-    legacy.engine->prepare();
-    legacy.engine->run(300);
+    per_event.engine->add_observer(&trace);
+    per_event.engine->prepare();
+    per_event.engine->run(300);
 
     EngineRun digest = make_run(router, 10, false, 2, 11);
     DigestTraceRebuilder rebuilt;
@@ -108,9 +109,9 @@ TEST(LegacyAdapter, DigestStreamMatchesTraceRecorder) {
   }
 }
 
-TEST(LegacyAdapter, MetricsObserverNumbersUnchanged) {
-  // MetricsObserver rides through the adapter; a digest-side recount of
-  // deliveries per step must agree with its delivery curve.
+TEST(ObserverReplay, MetricsObserverNumbersUnchanged) {
+  // MetricsObserver counts through the per-event replay; a digest-side
+  // recount of deliveries per step must agree with its delivery curve.
   EngineRun run = make_run("greedy-match", 12, false, 2, 13, /*monotone=*/true);
   MetricsObserver metrics;
   run.engine->add_observer(&metrics);
