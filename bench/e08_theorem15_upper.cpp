@@ -53,14 +53,14 @@ void register_e08(ScenarioRegistry& registry) {
             .add(r.replay_all_delivered ? "yes" : "NO");
       }
       // (b) random permutations.
-      RunSpec spec;
-      spec.width = spec.height = n;
-      spec.queue_capacity = k;
-      spec.algorithm = "bounded-dimension-order";
+      RunSpec run_spec;
+      run_spec.width = run_spec.height = n;
+      run_spec.queue_capacity = k;
+      run_spec.algorithm = "bounded-dimension-order";
       const Mesh mesh = Mesh::square(n);
       const RunResult r =
           ctx.run("random n=" + std::to_string(n) + " k=" + std::to_string(k),
-                  spec, random_permutation(mesh, 1234 + n + k));
+                  run_spec, random_permutation(mesh, 1234 + n + k));
       all_delivered = all_delivered && r.all_delivered;
       ratio_bounded = ratio_bounded && double(r.steps) / budget <= 4.0;
       table.row()

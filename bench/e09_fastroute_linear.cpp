@@ -90,11 +90,11 @@ void register_e09(ScenarioRegistry& registry) {
             .add(improved.all_delivered ? "yes" : "NO");
       }
       // Contrast: the Theorem 15 router on the same random permutation.
-      RunSpec spec;
-      spec.width = spec.height = n;
-      spec.queue_capacity = 4;
-      spec.algorithm = "bounded-dimension-order";
-      const RunResult r = run_workload(spec, random_permutation(mesh, 21));
+      RunSpec run_spec;
+      run_spec.width = run_spec.height = n;
+      run_spec.queue_capacity = 4;
+      run_spec.algorithm = "bounded-dimension-order";
+      const RunResult r = run_workload(run_spec, random_permutation(mesh, 21));
       all_delivered = all_delivered && r.all_delivered;
       table.row()
           .add(std::int64_t(n))

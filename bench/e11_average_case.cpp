@@ -49,11 +49,11 @@ void register_e11(ScenarioRegistry& registry) {
       for (const int n : ns) {
         const Mesh mesh = Mesh::square(n);
         const auto results = sweep<RunResult>(seeds, [&](std::size_t s) {
-          RunSpec spec;
-          spec.width = spec.height = n;
-          spec.queue_capacity = c.k;
-          spec.algorithm = c.algorithm;
-          return run_workload(spec,
+          RunSpec run_spec;
+          run_spec.width = run_spec.height = n;
+          run_spec.queue_capacity = c.k;
+          run_spec.algorithm = c.algorithm;
+          return run_workload(run_spec,
                               random_permutation(mesh, base_seed + 13 * s));
         });
         RunningStat steps, p50;

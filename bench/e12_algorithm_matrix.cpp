@@ -47,13 +47,13 @@ void register_e12(ScenarioRegistry& registry) {
       for (const auto& [name, w] : workloads) {
         table.row().add(name);
         for (const std::string& algorithm : algorithm_names()) {
-          RunSpec spec;
-          spec.width = spec.height = n;
-          spec.queue_capacity = k;
-          spec.algorithm = algorithm;
-          spec.max_steps = 400000;
-          spec.stall_limit = 5000;
-          const RunResult r = run_workload(spec, w);
+          RunSpec run_spec;
+          run_spec.width = run_spec.height = n;
+          run_spec.queue_capacity = k;
+          run_spec.algorithm = algorithm;
+          run_spec.max_steps = 400000;
+          run_spec.stall_limit = 5000;
+          const RunResult r = run_workload(run_spec, w);
           if (algorithm == "bounded-dimension-order")
             bounded_never_dnf = bounded_never_dnf && r.all_delivered;
           table.add(r.all_delivered ? std::to_string(r.steps)

@@ -38,13 +38,14 @@ void register_e15(ScenarioRegistry& registry) {
     bool all_delivered = true;
     bool certificate_holds = true;
     for (const int delta : {0, 1, 2, 4, 8}) {
-      RunSpec spec;
-      spec.width = spec.height = n;
-      spec.queue_capacity = k;
-      spec.algorithm = "stray-" + std::to_string(delta);
-      spec.max_steps = 400000;
-      spec.stall_limit = 20000;
-      const RunResult r = ctx.run(spec.algorithm, spec, adv.permutation);
+      RunSpec run_spec;
+      run_spec.width = run_spec.height = n;
+      run_spec.queue_capacity = k;
+      run_spec.algorithm = "stray-" + std::to_string(delta);
+      run_spec.max_steps = 400000;
+      run_spec.stall_limit = 20000;
+      const RunResult r =
+          ctx.run(run_spec.algorithm, run_spec, adv.permutation);
       if (delta == 0) {
         base_steps = double(r.steps);
         certificate_holds = r.steps >= adv.certified_steps;
@@ -52,7 +53,7 @@ void register_e15(ScenarioRegistry& registry) {
       all_delivered = all_delivered && r.all_delivered;
       table.row()
           .add(delta)
-          .add(spec.algorithm)
+          .add(run_spec.algorithm)
           .add(r.steps)
           .add(r.all_delivered ? "yes" : "NO")
           .add(double(r.steps) / base_steps, 3)

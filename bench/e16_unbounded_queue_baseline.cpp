@@ -40,12 +40,12 @@ void register_e16(ScenarioRegistry& registry) {
           {"row-to-column", row_to_column},
       };
       for (const auto& [name, w] : workloads) {
-        RunSpec spec;
-        spec.width = spec.height = n;
-        spec.queue_capacity = n * n;  // effectively unbounded
-        spec.algorithm = "farthest-first";
+        RunSpec run_spec;
+        run_spec.width = run_spec.height = n;
+        run_spec.queue_capacity = n * n;  // effectively unbounded
+        run_spec.algorithm = "farthest-first";
         const RunResult r =
-            ctx.run(name + " n=" + std::to_string(n), spec, w);
+            ctx.run(name + " n=" + std::to_string(n), run_spec, w);
         const bool ok = r.all_delivered && r.steps <= 2 * n - 2;
         within_2n_minus_2 = within_2n_minus_2 && ok;
         table.row()

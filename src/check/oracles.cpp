@@ -226,39 +226,50 @@ void BoxEscapeOracle::on_step(const Sim& e, const StepDigest& d) {
     }
   }
 
-  const Step w = (t - 1) / dn_;  // window index: steps (w·dn, (w+1)·dn]
-  for (std::size_t id = 0; id < class_count_; ++id) {
-    const Packet& pk = e.packet(static_cast<PacketId>(id));
-    if (pk.delivered()) continue;
-    const PacketClass cls = geo_.classify(e.mesh().coord_of(pk.source),
-                                          e.mesh().coord_of(pk.dest));
-    if (cls.type == ClassType::None) continue;
-    const std::int64_t i = cls.i;
-    // Packets awaiting injection sit at their source.
-    const Coord at = e.mesh().coord_of(
-        pk.location != kInvalidNode ? pk.location : pk.source);
-    // Lemmas 5/6: classes j ≥ w+2 are still confined to the w-box.
-    if (i >= w + 2) {
-      MR_REQUIRE_MSG(geo_.in_box(at, w),
-                     "Lemma 5/6 violated: class-" << i << " packet outside "
-                                                  << w << "-box at step "
-                                                  << t);
-    }
-    if (t <= i * dn_) {
-      if (cls.type == ClassType::N) {
-        // Lemma 7: not at/north of the E_i-row while west of N_i-column.
-        MR_REQUIRE_MSG(!(at.row >= geo_.line(i) && at.col < geo_.line(i)),
-                       "Lemma 7 violated at step " << t);
-      } else {
-        // Lemma 8: not at/east of the N_i-column while south of E_i-row.
-        MR_REQUIRE_MSG(!(at.col >= geo_.line(i) && at.row < geo_.line(i)),
-                       "Lemma 8 violated at step " << t);
-      }
-    }
+  const bool full_scan = t != last_step_ + 1 || d.exchanges > 0;
+  last_step_ = t;
+  if (full_scan) {
+    for (std::size_t id = 0; id < class_count_; ++id)
+      check_confinement(e, static_cast<PacketId>(id), t);
+  } else {
+    for (const MoveRecord& m : d.moves)
+      if (static_cast<std::size_t>(m.packet) < class_count_)
+        check_confinement(e, m.packet, t);
   }
   // Escape counters are per step.
   std::fill(escapes_n_.begin(), escapes_n_.end(), 0);
   std::fill(escapes_e_.begin(), escapes_e_.end(), 0);
+}
+
+void BoxEscapeOracle::check_confinement(const Sim& e, PacketId id,
+                                        Step t) const {
+  const Packet& pk = e.packet(id);
+  if (pk.delivered()) return;
+  const PacketClass cls = geo_.classify(e.mesh().coord_of(pk.source),
+                                        e.mesh().coord_of(pk.dest));
+  if (cls.type == ClassType::None) return;
+  const std::int64_t i = cls.i;
+  const Step w = (t - 1) / dn_;  // window index: steps (w·dn, (w+1)·dn]
+  // Packets awaiting injection sit at their source.
+  const Coord at = e.mesh().coord_of(
+      pk.location != kInvalidNode ? pk.location : pk.source);
+  // Lemmas 5/6: classes j ≥ w+2 are still confined to the w-box.
+  if (i >= w + 2) {
+    MR_REQUIRE_MSG(geo_.in_box(at, w),
+                   "Lemma 5/6 violated: class-" << i << " packet outside "
+                                                << w << "-box at step " << t);
+  }
+  if (t <= i * dn_) {
+    if (cls.type == ClassType::N) {
+      // Lemma 7: not at/north of the E_i-row while west of N_i-column.
+      MR_REQUIRE_MSG(!(at.row >= geo_.line(i) && at.col < geo_.line(i)),
+                     "Lemma 7 violated at step " << t);
+    } else {
+      // Lemma 8: not at/east of the N_i-column while south of E_i-row.
+      MR_REQUIRE_MSG(!(at.col >= geo_.line(i) && at.row < geo_.line(i)),
+                     "Lemma 8 violated at step " << t);
+    }
+  }
 }
 
 void DigestHasher::mix(const StepDigest& d) {

@@ -136,6 +136,14 @@ class ExchangeConsistencyOracle : public StepObserver {
 ///     E_i-row while west of the N_i-column (mirrored for E_i).
 /// The lemmas are theorems: a violation means the construction or engine
 /// diverged from the paper.
+///
+/// Lemmas 5–8 only relax as t grows (i-boxes nest, and both conditions bind
+/// fewer classes at later steps), so a packet that neither moved nor had
+/// its destination exchanged cannot newly violate them. The oracle scans
+/// every class packet on the first step it sees, on a step that does not
+/// follow the last one seen (a restore) and on a step with exchanges;
+/// otherwise it checks only the packets that moved. The first failing step
+/// is the one a full scan on every step would report.
 class BoxEscapeOracle : public StepObserver {
  public:
   /// `class_packet_count`: the first class_packet_count PacketIds are the
@@ -148,12 +156,17 @@ class BoxEscapeOracle : public StepObserver {
   void on_step(const Sim& e, const StepDigest& d) override;
 
  private:
+  /// Lemmas 5–8 for class packet `id` at step t.
+  void check_confinement(const Sim& e, PacketId id, Step t) const;
+
   MainGeometry geo_;
   std::int32_t dn_;
   std::size_t class_count_;
   std::vector<std::int64_t> escapes_n_;
   std::vector<std::int64_t> escapes_e_;
   std::int64_t max_escapes_ = 0;
+  /// Last step seen; -1 before the first, which no step (≥ 1) follows.
+  Step last_step_ = -1;
 };
 
 /// Order-sensitive FNV-1a hash over every StepDigest a sim emits
@@ -164,8 +177,8 @@ class DigestHasher : public StepObserver {
  public:
   std::uint64_t hash() const { return hash_; }
 
-  void on_prepare(const Sim& e, const StepDigest& d) override { mix(d); }
-  void on_step(const Sim& e, const StepDigest& d) override { mix(d); }
+  void on_prepare(const Sim&, const StepDigest& d) override { mix(d); }
+  void on_step(const Sim&, const StepDigest& d) override { mix(d); }
 
  private:
   void mix(const StepDigest& d);

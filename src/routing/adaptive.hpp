@@ -15,6 +15,11 @@ namespace mr {
 
 class AdaptiveAlternateRouter final : public DxAlgorithm {
  public:
+  /// The outqueue reads the packets' preferred-axis bits, never the node
+  /// state or the step.
+  AdaptiveAlternateRouter()
+      : DxAlgorithm(Update::Defined, PlanOut::QueueOnly) {}
+
   std::string name() const override { return "adaptive-alternate"; }
 
  protected:

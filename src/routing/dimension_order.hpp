@@ -13,8 +13,10 @@ namespace mr {
 
 class DimensionOrderRouter final : public DxAlgorithm {
  public:
-  /// dx_update only advances the inqueue pointer in the node state.
-  DimensionOrderRouter() : DxAlgorithm(Update::NodeState) {}
+  /// dx_update only advances the inqueue pointer in the node state; the
+  /// FIFO outqueue reads only the queue.
+  DimensionOrderRouter()
+      : DxAlgorithm(Update::NodeState, PlanOut::QueueOnly) {}
 
   std::string name() const override { return "dimension-order"; }
 

@@ -2,18 +2,23 @@
 
 namespace mr {
 
-DxAlgorithm::NodeCtx DxAlgorithm::make_ctx(const Sim& e, NodeId u) const {
-  NodeCtx ctx;
+DxAlgorithm::NodeCtx DxAlgorithm::make_ctx(const Sim& e, NodeId u) {
+  if (e.context_id() != ctx_base_id_ || e.step() != ctx_base_step_) {
+    ctx_base_ = NodeCtx{};
+    ctx_base_.width = e.mesh().width();
+    ctx_base_.height = e.mesh().height();
+    ctx_base_.torus = e.mesh().is_torus();
+    ctx_base_.step = e.step();
+    ctx_base_.capacity = e.queue_capacity();
+    ctx_base_.fault_mode = !e.fault_schedule().empty();
+    ctx_base_id_ = e.context_id();
+    ctx_base_step_ = e.step();
+  }
+  NodeCtx ctx = ctx_base_;
   ctx.node = u;
   ctx.coord = e.mesh().coord_of(u);
-  ctx.width = e.mesh().width();
-  ctx.height = e.mesh().height();
-  ctx.torus = e.mesh().is_torus();
-  ctx.step = e.step();
-  ctx.capacity = e.queue_capacity();
   ctx.state = e.node_state(u);
   ctx.resident = e.occupancy(u);
-  ctx.fault_mode = !e.fault_schedule().empty();
   if (e.queue_layout() == QueueLayout::PerInlink) {
     for (int t = 0; t < kNumDirs; ++t)
       ctx.inlink_occupancy[t] = e.occupancy(u, static_cast<QueueTag>(t));
@@ -44,6 +49,11 @@ void DxAlgorithm::init(Sim& e) {
 
 void DxAlgorithm::plan_out(Sim& e, NodeId u, OutPlan& plan) {
   NodeCtx ctx = make_ctx(e, u);
+  if (plan_out_ == PlanOut::QueueOnly) {
+    // What the declaration excludes is not shown.
+    ctx.state = 0;
+    ctx.step = 0;
+  }
   fill_views(e, u);
   dx_plan_out(ctx, std::span<const PacketDxView>(views_), plan);
   // Outqueue policies may not change state (§3 updates states in (e)).

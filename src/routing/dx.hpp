@@ -17,7 +17,12 @@
 // Sim only for the callbacks that read them, and never carried across
 // phases (the phase-(b) interceptor may change profitable masks in
 // between):
-//   * dx_init and dx_plan_out receive the node's resident views;
+//   * dx_init and dx_plan_out receive the node's resident views. A router
+//     constructed with PlanOut::QueueOnly gets ctx.state and ctx.step as 0
+//     in dx_plan_out, so its plan is a function of the queue alone; the
+//     engine then calls plan_out only on nodes whose queue changed since
+//     their last plan (a packet arrived, left, changed state or had its
+//     destination exchanged) and re-emits the cached plan elsewhere;
 //   * dx_plan_in receives no resident views, only the offers. NodeCtx
 //     carries the counts an inqueue policy needs — `resident` and
 //     `inlink_occupancy` — read at the start of phase (c);
@@ -27,6 +32,9 @@
 //     instead: no views are built and only ctx.state is written back. One
 //     built with Update::None never reaches dx_update: update_state
 //     returns before building a context or views.
+//
+// The node-constant part of NodeCtx (mesh shape, k, fault_mode) and the
+// step are filled once per step, not once per callback.
 //
 // A node IS allowed to know its own identity, coordinates, the mesh shape,
 // k and the global step counter: the lower-bound argument never relocates
@@ -119,6 +127,13 @@ class DxAlgorithm : public Algorithm {
   /// before touching the Sim.
   enum class Update { Defined, NodeState, None };
 
+  /// What the router type's outqueue policy (dx_plan_out) reads. Node: the
+  /// whole NodeCtx. QueueOnly: the resident views and the node-constant
+  /// context fields only — dx_plan_out gets ctx.state and ctx.step as 0 —
+  /// so the router declares plan_out_reads_queue_only() and the engine
+  /// re-uses a node's plan while its queue is unchanged.
+  enum class PlanOut { Node, QueueOnly };
+
   // Adapter plumbing: translates Engine callbacks into DX views. Final so
   // subclasses cannot reopen access to destinations.
   void init(Sim& e) final;
@@ -126,9 +141,14 @@ class DxAlgorithm : public Algorithm {
   void plan_in(Sim& e, NodeId v, std::span<const Offer> offers,
                InPlan& plan) final;
   void update_state(Sim& e, NodeId v) final;
+  bool plan_out_reads_queue_only() const final {
+    return plan_out_ == PlanOut::QueueOnly;
+  }
 
  protected:
-  explicit DxAlgorithm(Update update = Update::Defined) : update_(update) {}
+  explicit DxAlgorithm(Update update = Update::Defined,
+                       PlanOut plan_out = PlanOut::Node)
+      : update_(update), plan_out_(plan_out) {}
 
   /// Initial node state from the profitable outlinks of resident packets
   /// (§3: the initial state may depend on the packet that originates
@@ -140,6 +160,8 @@ class DxAlgorithm : public Algorithm {
   }
 
   /// Outqueue policy: schedule at most one resident packet per outlink.
+  /// ctx.state and ctx.step read 0 on a router constructed with
+  /// PlanOut::QueueOnly.
   virtual void dx_plan_out(NodeCtx& ctx,
                            std::span<const PacketDxView> resident,
                            OutPlan& plan) = 0;
@@ -161,10 +183,17 @@ class DxAlgorithm : public Algorithm {
   }
 
  private:
-  NodeCtx make_ctx(const Sim& e, NodeId u) const;
+  /// The context of node u: the node-constant fields and the step come
+  /// from ctx_base_, refreshed once per (Sim configuration, step); only the
+  /// per-node fields are read here.
+  NodeCtx make_ctx(const Sim& e, NodeId u);
   void fill_views(const Sim& e, NodeId u);
 
   Update update_;
+  PlanOut plan_out_;
+  NodeCtx ctx_base_;
+  std::uint64_t ctx_base_id_ = 0;  ///< Sim::context_id() of ctx_base_
+  Step ctx_base_step_ = -1;
   // scratch, reused across callbacks
   std::vector<PacketDxView> views_;
   std::vector<DxOffer> dx_offers_;

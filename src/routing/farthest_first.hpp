@@ -16,6 +16,8 @@ namespace mr {
 class FarthestFirstRouter final : public Algorithm {
  public:
   std::string name() const override { return "farthest-first"; }
+  /// The outqueue ranks the queued packets by their own destinations.
+  bool plan_out_reads_queue_only() const override { return true; }
 
   void plan_out(Sim& e, NodeId u, OutPlan& plan) override;
   void plan_in(Sim& e, NodeId v, std::span<const Offer> offers,

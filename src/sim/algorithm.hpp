@@ -34,6 +34,12 @@ struct OutPlan {
   void schedule(Dir d, PacketId p) { out[dir_index(d)] = p; }
   PacketId scheduled(Dir d) const { return out[dir_index(d)]; }
   void clear() { out.fill(kInvalidPacket); }
+
+  /// The engine's per-node plan cache marks a plan that must be recomputed
+  /// with a sentinel in its first slot (no router ever schedules it).
+  static constexpr PacketId kStale = -2;
+  bool stale() const { return out[0] == kStale; }
+  void mark_stale() { out[0] = kStale; }
 };
 
 /// A packet scheduled to enter node `to` from node `from` travelling in
@@ -80,6 +86,16 @@ class Algorithm {
 
   /// (a) Outqueue policy of node u. `plan` arrives cleared.
   virtual void plan_out(Sim& e, NodeId u, OutPlan& plan) = 0;
+
+  /// True when plan_out(e, u, ·) depends only on the packets queued at u
+  /// (their ids and queue order, and each packet's fields: state, source,
+  /// destination or profitable mask, queue tag, arrival data) and on
+  /// node-constant facts (u, its coordinates, the mesh, k) — never on the
+  /// node state, the step or anything outside u. The engine then keeps a
+  /// node's last validated plan and re-emits it without calling plan_out
+  /// for as long as the node's queue is unchanged (DESIGN.md §9). A
+  /// decorator that does not forward this keeps every call.
+  virtual bool plan_out_reads_queue_only() const { return false; }
 
   /// (c) Inqueue policy of node v. Offers arrive in deterministic order
   /// (by travel direction). The engine verifies post-step occupancy.

@@ -17,7 +17,8 @@ Engine::Engine(const Topology& topo, Config config, Algorithm& algorithm)
       stall_limit_(config.stall_limit),
       stall_counts_pending_(config.stall_counts_pending_injections),
       enforce_minimal_(algorithm.minimal()),
-      max_stray_(algorithm.max_stray()) {
+      max_stray_(algorithm.max_stray()),
+      reuse_out_plans_(algorithm.plan_out_reads_queue_only()) {
   init_engine(config);
   // A single shared Algorithm instance may hold per-call scratch, so the
   // bands must run serially; concurrent planning needs per-band instances.
@@ -38,7 +39,8 @@ Engine::Engine(const Topology& topo, Config config,
       stall_limit_(config.stall_limit),
       stall_counts_pending_(config.stall_counts_pending_injections),
       enforce_minimal_(first->minimal()),
-      max_stray_(first->max_stray()) {
+      max_stray_(first->max_stray()),
+      reuse_out_plans_(first->plan_out_reads_queue_only()) {
   owned_algorithms_.push_back(std::move(first));
   init_engine(config);
   for (int s = 1; s < num_shards_; ++s) {
@@ -46,7 +48,8 @@ Engine::Engine(const Topology& topo, Config config,
     Algorithm& a = *owned_algorithms_.back();
     MR_REQUIRE_MSG(
         a.queue_layout() == layout_ && a.minimal() == enforce_minimal_ &&
-            a.max_stray() == max_stray_,
+            a.max_stray() == max_stray_ &&
+            a.plan_out_reads_queue_only() == reuse_out_plans_,
         "AlgorithmFactory must produce identically configured instances");
     shard_algorithms_[static_cast<std::size_t>(s)] = &a;
   }
@@ -157,6 +160,7 @@ void Engine::place_packet(PacketId p, NodeId node, QueueTag tag,
   pk.arrived_at = step_;
   pk.profitable = topo_->profitable_dirs(node, pk.dest);
   pk.slot = node_packets_.push_back(node, p);
+  mark_plan_stale(node);
   if (layout_ == QueueLayout::PerInlink) ++inlink_occ_[inlink_index(node, tag)];
   if (!is_active_[node]) {
     is_active_[node] = 1;
@@ -183,6 +187,7 @@ void Engine::remove_from_node(PacketId p) {
              node_packets_.at(pk.location)[static_cast<std::size_t>(slot)] ==
                  p);
   node_packets_.erase_slot(pk.location, slot);
+  mark_plan_stale(pk.location);
   // Erasure preserves arrival order of the remaining packets; reindex the
   // ones that shifted down.
   const std::span<const PacketId> q = node_packets_.at(pk.location);
@@ -386,6 +391,7 @@ void Engine::prepare() {
   // even with several bands: the state it sets lives in the Sim and is
   // shared by all planning instances.
   algorithm_->init(*this);
+  reset_out_plans();
   if (observed) {
     StepDigest digest;
     digest.step = 0;
@@ -395,6 +401,19 @@ void Engine::prepare() {
     digest.injections_waiting = injections_waiting();
     for (StepObserver* ob : observers_) ob->on_prepare(*this, digest);
   }
+}
+
+void Engine::reset_out_plans() {
+  // A fault schedule masks the profitable outlinks a plan was made from,
+  // and windows open and close without touching any queue, so reuse stays
+  // off for the whole run while one is installed.
+  if (!reuse_out_plans_ || !fault_schedule_.empty()) {
+    out_plans_.clear();
+    return;
+  }
+  OutPlan stale;
+  stale.mark_stale();
+  out_plans_.assign(static_cast<std::size_t>(num_nodes_), stale);
 }
 
 void Engine::validate_out_plan(NodeId u, const OutPlan& plan) {
@@ -482,13 +501,23 @@ bool Engine::step_once() {
     inject_band(sh, observed);
     Algorithm& alg = *shard_algorithms_[si];
     sh.moves.clear();
+    const bool reuse = !out_plans_.empty();
     for (NodeId u : sh.active) {
       if (node_packets_.empty(u)) continue;
-      sh.out_plan.clear();
-      alg.plan_out(*this, u, sh.out_plan);
-      validate_out_plan(u, sh.out_plan);
+      // A node whose queue is unchanged since its last plan re-emits that
+      // plan: the router declared the plan a function of the queue alone,
+      // and the plan passed validation when it was made.
+      const OutPlan* plan = &sh.out_plan;
+      if (reuse && !out_plans_[static_cast<std::size_t>(u)].stale()) {
+        plan = &out_plans_[static_cast<std::size_t>(u)];
+      } else {
+        sh.out_plan.clear();
+        alg.plan_out(*this, u, sh.out_plan);
+        validate_out_plan(u, sh.out_plan);
+        if (reuse) out_plans_[static_cast<std::size_t>(u)] = sh.out_plan;
+      }
       for (Dir d : kAllDirs) {
-        const PacketId p = sh.out_plan.scheduled(d);
+        const PacketId p = plan->scheduled(d);
         if (p == kInvalidPacket) continue;
         sh.moves.push_back(ScheduledMove{p, u, neighbor_of(u, d), d});
       }
@@ -768,6 +797,7 @@ void Engine::exchange_destinations(PacketId a, PacketId b) {
     Packet& pk = packets_[p];
     if (pk.location != kInvalidNode) {
       pk.profitable = topo_->profitable_dirs(pk.location, pk.dest);
+      mark_plan_stale(pk.location);
       continue;
     }
     // A packet waiting outside the network keeps its injection queue in its

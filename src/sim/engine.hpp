@@ -33,7 +33,12 @@
 // and cached profitable mask, each band's active-node list and injection
 // waiting list stay sorted by merging newly added entries instead of
 // re-sorting, and offers are grouped by receiving node via a 4-way merge of
-// the per-direction move streams instead of a comparison sort.
+// the per-direction move streams instead of a comparison sort. The
+// outqueue policy itself runs only on the active nodes whose queue changed
+// since their last plan when the router declares
+// Algorithm::plan_out_reads_queue_only() and no fault schedule is
+// installed; every other active node re-emits its cached, already
+// validated plan (DESIGN.md §9).
 //
 // Observation is digest-based: the engine batches each step's moves,
 // deliveries and counters into one StepDigest and dispatches a single
@@ -322,6 +327,11 @@ class Engine : public Sim {
                     std::vector<NodeId>& active_out);
   void remove_from_node(PacketId p);
   void validate_out_plan(NodeId u, const OutPlan& plan);
+  /// Sizes the out-plan cache with every node stale when the algorithm
+  /// declares plan_out_reads_queue_only() and no fault schedule is
+  /// installed; empties it (reuse off) otherwise. Run by prepare() and
+  /// restore().
+  void reset_out_plans();
   void check_capacity_after_transmit(NodeId v);
   void record_occupancy(NodeId u, int& peak);
   QueueTag arrival_tag(Dir travel_dir) const;
@@ -396,6 +406,8 @@ class Engine : public Sim {
   bool stall_counts_pending_;
   bool enforce_minimal_;
   int max_stray_ = -1;  ///< §5 nonminimal containment (when not minimal)
+  /// Algorithm::plan_out_reads_queue_only() of the planning instances.
+  bool reuse_out_plans_ = false;
 
   /// PerInlink layout only: occupancy counter per (node, inlink queue),
   /// updated in place_packet/remove_from_node.

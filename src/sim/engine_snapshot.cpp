@@ -221,6 +221,7 @@ void Engine::restore(const EngineSnapshot& snap) {
   fault_blocked_this_step_ = 0;
   fault_deferred_this_step_ = 0;
   apply_faults(step_);
+  reset_out_plans();
 
   prepared_ = true;
 }

@@ -32,14 +32,13 @@
 
 #include "core/assert.hpp"
 #include "core/types.hpp"
+#include "sim/algorithm.hpp"
 #include "sim/fault.hpp"
 #include "sim/node_queues.hpp"
 #include "sim/packet.hpp"
 #include "topo/topology.hpp"
 
 namespace mr {
-
-class StepObserver;
 
 class Sim {
  public:
@@ -58,6 +57,11 @@ class Sim {
   const Topology& topology() const { return *topo_; }
   int queue_capacity() const { return queue_capacity_; }
   QueueLayout queue_layout() const { return layout_; }
+  /// Process-unique id of this Sim's node-constant configuration
+  /// (topology, k, layout, fault schedule): drawn from a global counter at
+  /// construction and again by set_fault_schedule, so a cache keyed on it
+  /// (DxAlgorithm's per-step context) never outlives what it caches.
+  std::uint64_t context_id() const { return context_id_; }
 
   // --- observation -------------------------------------------------------
   /// Registers an observer: one on_step callback per executed step, in
@@ -139,8 +143,13 @@ class Sim {
 
   std::uint64_t node_state(NodeId u) const { return node_state_[u]; }
   void set_node_state(NodeId u, std::uint64_t s) { node_state_[u] = s; }
+  /// A changed state of a queued packet makes its node's cached out-plan
+  /// stale; writing back an unchanged state does not.
   void set_packet_state(PacketId p, std::uint64_t s) {
-    packets_[p].state = s;
+    Packet& pk = packets_[p];
+    if (pk.state == s) return;
+    pk.state = s;
+    if (pk.location != kInvalidNode) mark_plan_stale(pk.location);
   }
 
   // --- adversary interface (only legal from StepInterceptor) -----------
@@ -168,6 +177,11 @@ class Sim {
   const std::vector<Packet>& all_packets() const { return packets_; }
 
  protected:
+  void mark_plan_stale(NodeId u) {
+    if (!out_plans_.empty())
+      out_plans_[static_cast<std::size_t>(u)].mark_stale();
+  }
+
   /// Validates and appends a new packet record (shared add_packet core).
   PacketId register_packet(NodeId source, NodeId dest, Step injected_at);
 
@@ -222,6 +236,12 @@ class Sim {
 
   int max_occupancy_seen_ = 0;
   std::int64_t total_moves_ = 0;
+
+  /// Engine's per-node out-plan cache (Algorithm::plan_out_reads_queue_only):
+  /// the last validated plan of each node, OutPlan::kStale when the node's
+  /// queue changed since. Empty while plan reuse is off.
+  std::vector<OutPlan> out_plans_;
+  std::uint64_t context_id_;
 };
 
 }  // namespace mr

@@ -127,8 +127,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Theorem15Shape,
                                            ShapeParam{24, 1},
                                            ShapeParam{24, 3}),
                          [](const auto& inf) {
-                           return "n" + std::to_string(inf.param.n) + "_k" +
-                                  std::to_string(inf.param.k);
+                           std::string name = "n";
+                           name += std::to_string(inf.param.n);
+                           name += "_k";
+                           name += std::to_string(inf.param.k);
+                           return name;
                          });
 
 TEST(BoundedDo, RowPacketsNeverEnterColumnQueuesEarly) {
@@ -174,7 +177,9 @@ TEST(BoundedDo, KScalingIsMonotoneOnAdversarialTraffic) {
     spec.algorithm = "bounded-dimension-order";
     const RunResult r = run_workload(spec, corner_flood(mesh, 8, 8));
     ASSERT_TRUE(r.all_delivered);
-    if (prev != 0) EXPECT_LE(r.steps, prev + 2);  // allow tiny jitter
+    if (prev != 0) {
+      EXPECT_LE(r.steps, prev + 2);  // allow tiny jitter
+    }
     prev = r.steps;
   }
 }

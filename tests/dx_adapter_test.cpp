@@ -6,7 +6,11 @@
 //     although the engine still calls update_state; one with
 //     Update::Defined reaches it on every call;
 //   * one with Update::NodeState reaches it on every call with an empty
-//     span, and only the node state it leaves is written back.
+//     span, and only the node state it leaves is written back;
+//   * one with PlanOut::QueueOnly sees ctx.state and ctx.step as 0 in
+//     dx_plan_out, and the engine re-plans a node only when its queue
+//     changed: a packet arrived or left, changed state or had its
+//     destination exchanged, or the engine was restored.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,6 +20,7 @@
 #include <vector>
 
 #include "check/reference_engine.hpp"
+#include "sim/snapshot.hpp"
 #include "routing/dimension_order.hpp"
 #include "routing/dx.hpp"
 #include "sim/engine.hpp"
@@ -261,6 +266,174 @@ TEST(DxAdapter, UpdateNodeStateWritesOnlyTheNodeState) {
       EXPECT_GT(defined.nonempty_update_spans, 0) << label;
       EXPECT_GT(defined.packet_state_sum, 0u) << label;
     }
+  }
+}
+
+/// A queue-only router for the plan-reuse cases: dimension-order outqueue,
+/// an inqueue that rejects every offer (so nothing moves and every queue
+/// stays as placed), and a dx_update that advances the node state on every
+/// call and, on request, changes one packet's state at one step. It counts
+/// dx_plan_out calls per node and every nonzero state or step shown there.
+class QueueOnlyProbe final : public DxAlgorithm {
+ public:
+  QueueOnlyProbe() : DxAlgorithm(Update::Defined, PlanOut::QueueOnly) {}
+
+  std::string name() const override { return "queue-only-probe"; }
+
+  std::vector<int> plans;  ///< dx_plan_out calls per node
+  std::int64_t nonzero_seen = 0;
+  PacketId bump_packet = kInvalidPacket;
+  Step bump_step = 0;
+
+ protected:
+  void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
+                   OutPlan& plan) override {
+    if (plans.empty())
+      plans.assign(static_cast<std::size_t>(ctx.width * ctx.height), 0);
+    ++plans[static_cast<std::size_t>(ctx.node)];
+    if (ctx.state != 0 || ctx.step != 0) ++nonzero_seen;
+    for (const PacketDxView& v : resident) {
+      Dir d;
+      if (dimension_order_dir(v.profitable, d) &&
+          plan.scheduled(d) == kInvalidPacket)
+        plan.schedule(d, v.id);
+    }
+  }
+
+  void dx_plan_in(NodeCtx&, std::span<const DxOffer>, InPlan&) override {}
+
+  void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) override {
+    ++ctx.state;
+    for (PacketDxView& v : resident)
+      if (v.id == bump_packet && ctx.step == bump_step) ++v.state;
+  }
+};
+
+/// Exchanges the destinations of two packets in phase (b) of one step.
+class ExchangeAt final : public StepInterceptor {
+ public:
+  ExchangeAt(PacketId a, PacketId b, Step at) : a_(a), b_(b), at_(at) {}
+  void after_schedule(Sim& e, std::span<const ScheduledMove>) override {
+    if (e.step() == at_) e.exchange_destinations(a_, b_);
+  }
+
+ private:
+  PacketId a_, b_;
+  Step at_;
+};
+
+/// Three blocked packets on a 6×6 mesh at k = 1: a and b head East from
+/// (0,0) and (0,2), c heads South from (5,5). Exchanging a's and b's
+/// destinations keeps both scheduled East moves minimal.
+struct Blocked {
+  Mesh mesh = Mesh::square(6);
+  NodeId at_a = mesh.id_of(0, 0);
+  NodeId at_b = mesh.id_of(0, 2);
+  NodeId at_c = mesh.id_of(5, 5);
+
+  template <typename E>
+  void add_packets(E& e) const {
+    e.add_packet(at_a, mesh.id_of(3, 0));
+    e.add_packet(at_b, mesh.id_of(4, 2));
+    e.add_packet(at_c, mesh.id_of(5, 1));
+  }
+  Engine::Config config(int shards = 1) const {
+    Engine::Config c;
+    c.queue_capacity = 1;
+    c.stall_limit = 0;  // nothing ever moves
+    c.shards = shards;
+    return c;
+  }
+  int plans(const QueueOnlyProbe& probe, NodeId u) const {
+    return probe.plans.empty() ? 0 : probe.plans[static_cast<std::size_t>(u)];
+  }
+};
+
+TEST(DxAdapter, QueueOnlyPlanOutSeesNoStateOrStep) {
+  Blocked fx;
+  // The bump makes the engine re-plan a's node at step 4, when its node
+  // state is 3; the reference engine re-plans every node on every step.
+  QueueOnlyProbe on_engine, on_reference;
+  on_engine.bump_packet = on_reference.bump_packet = 0;
+  on_engine.bump_step = on_reference.bump_step = 3;
+  Engine e(fx.mesh, fx.config(), on_engine);
+  ReferenceEngine ref(fx.mesh, 1, 0, on_reference);
+  fx.add_packets(e);
+  fx.add_packets(ref);
+  e.prepare();
+  ref.prepare();
+  for (int s = 0; s < 6; ++s) {
+    e.step_once();
+    ref.step_once();
+  }
+  EXPECT_TRUE(on_engine.plan_out_reads_queue_only());
+  EXPECT_EQ(fx.plans(on_engine, fx.at_a), 2);
+  EXPECT_EQ(fx.plans(on_reference, fx.at_a), 6);
+  EXPECT_EQ(e.node_state(fx.at_a), 6u);
+  EXPECT_EQ(on_engine.nonzero_seen, 0);
+  EXPECT_EQ(on_reference.nonzero_seen, 0);
+}
+
+TEST(DxAdapter, UnchangedQueueIsNotReplanned) {
+  Blocked fx;
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    QueueOnlyProbe probe;
+    Engine e(fx.mesh, fx.config(shards), probe);
+    fx.add_packets(e);
+    e.prepare();
+    for (int s = 0; s < 6; ++s) e.step_once();
+    EXPECT_EQ(e.step(), 6);
+    EXPECT_EQ(e.total_moves(), 0);
+    // Planned once, at step 1; the packet states written back every step
+    // are unchanged, so the plans stay fresh.
+    for (NodeId u : {fx.at_a, fx.at_b, fx.at_c})
+      EXPECT_EQ(fx.plans(probe, u), 1) << "node " << u;
+  }
+}
+
+TEST(DxAdapter, ChangedQueueIsReplanned) {
+  Blocked fx;
+  {
+    SCOPED_TRACE("packet state");
+    QueueOnlyProbe probe;
+    probe.bump_packet = 0;  // a
+    probe.bump_step = 3;
+    Engine e(fx.mesh, fx.config(), probe);
+    fx.add_packets(e);
+    e.prepare();
+    for (int s = 0; s < 6; ++s) e.step_once();
+    EXPECT_EQ(fx.plans(probe, fx.at_a), 2);
+    EXPECT_EQ(fx.plans(probe, fx.at_b), 1);
+    EXPECT_EQ(fx.plans(probe, fx.at_c), 1);
+  }
+  {
+    SCOPED_TRACE("exchange");
+    QueueOnlyProbe probe;
+    ExchangeAt exchange(0, 1, 3);  // a <-> b
+    Engine e(fx.mesh, fx.config(), probe);
+    e.set_interceptor(&exchange);
+    fx.add_packets(e);
+    e.prepare();
+    for (int s = 0; s < 6; ++s) e.step_once();
+    EXPECT_EQ(e.exchange_count(), 1u);
+    EXPECT_EQ(fx.plans(probe, fx.at_a), 2);
+    EXPECT_EQ(fx.plans(probe, fx.at_b), 2);
+    EXPECT_EQ(fx.plans(probe, fx.at_c), 1);
+  }
+  {
+    SCOPED_TRACE("restore");
+    QueueOnlyProbe probe;
+    Engine e(fx.mesh, fx.config(), probe);
+    fx.add_packets(e);
+    e.prepare();
+    for (int s = 0; s < 2; ++s) e.step_once();
+    const EngineSnapshot snap = e.snapshot();
+    for (int s = 0; s < 2; ++s) e.step_once();
+    e.restore(snap);
+    for (int s = 0; s < 2; ++s) e.step_once();
+    for (NodeId u : {fx.at_a, fx.at_b, fx.at_c})
+      EXPECT_EQ(fx.plans(probe, u), 2) << "node " << u;
   }
 }
 

@@ -86,8 +86,8 @@ TEST_P(DxEquivariance, SwapIsInvisible) {
 
 INSTANTIATE_TEST_SUITE_P(DxAlgorithms, DxEquivariance,
                          ::testing::ValuesIn(dx_routers()),
-                         [](const auto& info) {
-                           std::string n = info.param;
+                         [](const auto& inf) {
+                           std::string n = inf.param;
                            for (char& ch : n)
                              if (ch == '-') ch = '_';
                            return n;

@@ -142,8 +142,9 @@ TEST_P(ModelProperties, LinkCapacityOnePacketPerStep) {
   e.run(100000);
   ASSERT_TRUE(e.all_delivered());
   EXPECT_TRUE(trace.link_capacity_respected());
-  if (algo->minimal())
+  if (algo->minimal()) {
     EXPECT_TRUE(trace.all_moves_minimal(mesh, e.all_packets()));
+  }
 }
 
 TEST_P(ModelProperties, DeterministicTraces) {

@@ -33,8 +33,9 @@ TEST(MainGeometry, BoxesAreNested) {
   for (std::int32_t c = 0; c < 24; ++c)
     for (std::int32_t r = 0; r < 24; ++r)
       for (std::int64_t i = 0; i < 3; ++i) {
-        if (g.in_box(Coord{c, r}, i))
+        if (g.in_box(Coord{c, r}, i)) {
           EXPECT_TRUE(g.in_box(Coord{c, r}, i + 1));
+        }
       }
 }
 

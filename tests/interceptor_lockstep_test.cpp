@@ -7,7 +7,11 @@
 // delivery steps and exchange counts must agree. The second case pins the
 // ordering rule of the step pipeline: an exchange can turn a scheduled
 // offer into a delivery and a delivery into an offer, so moves are
-// classified only after phase (b).
+// classified only after phase (b). The greedy-adversary case runs every
+// router whose out-plans the engine re-uses (plan_out_reads_queue_only),
+// with a mid-run rewind of the optimized engine, so it doubles as a
+// differential test of the plan cache: the reference engine re-plans every
+// node on every step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -129,11 +133,15 @@ class SortedPoolAdversary : public StepInterceptor {
 
 /// Runs Engine and ReferenceEngine side by side, each with its own
 /// interceptor, asserting agreement after prepare() and after every step.
+/// With `rewind_at` > 0 the optimized engine, after that step, snapshots,
+/// runs a few steps ahead on its own (interceptor detached, digest hash
+/// saved) and restores the snapshot: a plan cached during the run-ahead
+/// and kept across the restore makes the engines diverge at once.
 /// Returns the engine's per-packet delivery steps.
 std::vector<Step> run_lockstep(const Mesh& mesh, const std::string& algorithm,
                                int k, const Workload& demands,
                                StepInterceptor& icp_opt,
-                               StepInterceptor& icp_ref) {
+                               StepInterceptor& icp_ref, Step rewind_at = 0) {
   auto algo_opt = make_algorithm(algorithm);
   auto algo_ref = make_algorithm(algorithm);
   Engine::Config config;
@@ -166,6 +174,19 @@ std::vector<Step> run_lockstep(const Mesh& mesh, const std::string& algorithm,
     EXPECT_EQ(opt.exchange_count(), ref.exchange_count());
     EXPECT_EQ(opt.stalled(), ref.stalled());
     if (!more_opt || opt.stalled()) break;
+    if (opt.step() == rewind_at) {
+      const EngineSnapshot snap = opt.snapshot();
+      const DigestHasher saved = hash_opt;
+      opt.set_interceptor(nullptr);
+      for (int ahead = 0; ahead < 3; ++ahead) opt.step_once();
+      opt.restore(snap);
+      opt.set_interceptor(&icp_opt);
+      hash_opt = saved;
+      if (opt.fingerprint() != ref.fingerprint()) {
+        ADD_FAILURE() << "restore diverged at step " << opt.step();
+        break;
+      }
+    }
   }
   EXPECT_EQ(opt.delivered_count(), ref.delivered_count());
   EXPECT_EQ(opt.total_moves(), ref.total_moves());
@@ -181,16 +202,28 @@ std::vector<Step> run_lockstep(const Mesh& mesh, const std::string& algorithm,
   return delivered_at;
 }
 
+/// Routers whose out-plans the optimized engine re-uses across steps.
+std::vector<std::string> plan_reusing_algorithm_names() {
+  std::vector<std::string> names;
+  for (const std::string& name : algorithm_names())
+    if (make_algorithm(name)->plan_out_reads_queue_only())
+      names.push_back(name);
+  return names;
+}
+
 TEST(InterceptorLockstep, GreedyAdversaryMatchesReference) {
   const Mesh mesh = Mesh::square(8);
-  const std::string algorithm = dx_minimal_algorithm_names().front();
-  for (int k : {1, 2}) {
-    SCOPED_TRACE("k=" + std::to_string(k));
-    GreedyAdversary adv_opt, adv_ref;
-    run_lockstep(mesh, algorithm, k, random_permutation(mesh, 11), adv_opt,
-                 adv_ref);
-    EXPECT_GT(adv_opt.exchanges(), 0u) << "adversary never exchanged";
-    EXPECT_EQ(adv_opt.exchanges(), adv_ref.exchanges());
+  const std::vector<std::string> algorithms = plan_reusing_algorithm_names();
+  ASSERT_FALSE(algorithms.empty());
+  for (const std::string& algorithm : algorithms) {
+    for (int k : {1, 2}) {
+      SCOPED_TRACE(algorithm + " k=" + std::to_string(k));
+      GreedyAdversary adv_opt, adv_ref;
+      run_lockstep(mesh, algorithm, k, random_permutation(mesh, 11), adv_opt,
+                   adv_ref, /*rewind_at=*/5);
+      EXPECT_GT(adv_opt.exchanges(), 0u) << "adversary never exchanged";
+      EXPECT_EQ(adv_opt.exchanges(), adv_ref.exchanges());
+    }
   }
 }
 

@@ -39,12 +39,16 @@ TEST(MainPlacement, SatisfiesInitialArrangement) {
     ASSERT_NE(cls.type, ClassType::None);
     (cls.type == ClassType::N ? per_class_n : per_class_e)[cls.i]++;
     // Edge constraints: N_1-column holds only N_1; E_1-row only E_1.
-    if (src.col == geo.line(1) && src.row <= geo.line(1))
+    if (src.col == geo.line(1) && src.row <= geo.line(1)) {
       EXPECT_TRUE(cls.type == ClassType::N && cls.i == 1);
-    if (src.row == geo.line(1) && src.col < geo.line(1))
+    }
+    if (src.row == geo.line(1) && src.col < geo.line(1)) {
       EXPECT_TRUE(cls.type == ClassType::E && cls.i == 1);
+    }
     // Classes ≥ 2 start inside the 0-box.
-    if (cls.i >= 2) EXPECT_TRUE(geo.in_box(src, 0));
+    if (cls.i >= 2) {
+      EXPECT_TRUE(geo.in_box(src, 0));
+    }
     // Destinations outside the i-box on the right line.
     if (cls.type == ClassType::N) {
       EXPECT_EQ(dst.col, geo.line(cls.i));
@@ -117,8 +121,8 @@ TEST_P(MainConstructionSuite, Theorem13TwoClasses) {
 
 INSTANTIATE_TEST_SUITE_P(DxAlgorithms, MainConstructionSuite,
                          ::testing::ValuesIn(dx_minimal_algorithm_names()),
-                         [](const auto& info) {
-                           std::string n = info.param;
+                         [](const auto& inf) {
+                           std::string n = inf.param;
                            for (char& ch : n)
                              if (ch == '-') ch = '_';
                            return n;
@@ -262,8 +266,9 @@ TEST(DimOrderConstruction, PlacementShape) {
     EXPECT_GE(dst.row, par.cn);
     EXPECT_GE(construction.classify(src, dst), 1);
     // Only N_1 in the N_1-column.
-    if (src.col == construction.line(1))
+    if (src.col == construction.line(1)) {
       EXPECT_EQ(construction.classify(src, dst), 1);
+    }
   }
 }
 
@@ -297,7 +302,9 @@ TEST(FarthestFirstConstruction, PlacementInvariants) {
     const Coord dst = mesh.coord_of(d.dest);
     const std::int64_t cls = construction.classify(src, dst);
     ASSERT_GE(cls, 1);
-    if (cls >= 2) EXPECT_NE(src.col, construction.line(cls));
+    if (cls >= 2) {
+      EXPECT_NE(src.col, construction.line(cls));
+    }
     rows[static_cast<std::size_t>(src.row)].push_back({src.col, cls});
   }
   for (auto& row : rows) {

@@ -496,6 +496,57 @@ TEST(BoxEscapeOracle, SilentOnConfinedPackets) {
   EXPECT_EQ(oracle.max_escapes_per_step(), 0);
 }
 
+TEST(BoxEscapeOracle, FiresOnUnmovedPacketClassedByAnExchange) {
+  // Between steps the oracle checks only moved packets, but an exchange can
+  // put an unmoved packet in breach: p waits at (5,0) outside the 0-box,
+  // unclassed, until step 2 hands it q's N_2 destination. Neither packet
+  // moves; the breach is reported in step 2, the step of the exchange.
+  BoxFixture fx;
+  FakeSim sim(fx.mesh, 2, QueueLayout::Central);
+  const PacketId p = sim.add(fx.mesh.id_of(0, 0), fx.mesh.id_of(1, 1));
+  const PacketId q = sim.add(fx.mesh.id_of(0, 1), fx.mesh.id_of(4, 6));
+  sim.place(p, fx.mesh.id_of(5, 0));
+  sim.place(q, fx.mesh.id_of(1, 1));
+  BoxEscapeOracle oracle(fx.geo, fx.dn, /*class_packet_count=*/2);
+  EXPECT_EQ(violation([&] { oracle.on_step(sim, digest_at(1)); }), "");
+  sim.exchange_destinations(p, q);
+  StepDigest d = digest_at(2);
+  d.exchanges = 1;
+  const std::string msg = violation([&] { oracle.on_step(sim, d); });
+  EXPECT_NE(msg.find("Lemma 5/6 violated"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("at step 2"), std::string::npos) << msg;
+}
+
+TEST(BoxEscapeOracle, ScansAllPacketsOnTheFirstStepAndAfterARewind) {
+  BoxFixture fx;
+  {
+    // First step seen is step 2: the unmoved N_2-packet at (5,0) is
+    // reported there, as a scan on every step would.
+    FakeSim sim(fx.mesh, 2, QueueLayout::Central);
+    const PacketId p = sim.add(fx.mesh.id_of(0, 0), fx.mesh.id_of(4, 6));
+    sim.place(p, fx.mesh.id_of(5, 0));
+    BoxEscapeOracle oracle(fx.geo, fx.dn, /*class_packet_count=*/1);
+    const std::string msg =
+        violation([&] { oracle.on_step(sim, digest_at(2)); });
+    EXPECT_NE(msg.find("Lemma 5/6 violated"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("at step 2"), std::string::npos) << msg;
+  }
+  {
+    // A step that does not follow the last one seen (a restore rewound the
+    // run to another configuration) is scanned in full.
+    FakeSim sim(fx.mesh, 2, QueueLayout::Central);
+    const PacketId p = sim.add(fx.mesh.id_of(0, 0), fx.mesh.id_of(4, 6));
+    sim.place(p, fx.mesh.id_of(1, 1));
+    BoxEscapeOracle oracle(fx.geo, fx.dn, /*class_packet_count=*/1);
+    EXPECT_EQ(violation([&] { oracle.on_step(sim, digest_at(3)); }), "");
+    sim.set_location(p, fx.mesh.id_of(5, 0));
+    const std::string msg =
+        violation([&] { oracle.on_step(sim, digest_at(1)); });
+    EXPECT_NE(msg.find("Lemma 5/6 violated"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("at step 1"), std::string::npos) << msg;
+  }
+}
+
 // --- DigestHasher --------------------------------------------------------
 
 TEST(DigestHasher, DistinguishesDigestStreams) {

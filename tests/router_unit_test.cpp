@@ -116,7 +116,9 @@ TEST(WestFirst, WestLegIsStrictlyFirst) {
     const Coord cur = m.mesh.coord_of(path[i]);
     const bool west = cur.col < prev.col;
     if (!west) left_west_phase = true;
-    if (left_west_phase) EXPECT_FALSE(west);
+    if (left_west_phase) {
+      EXPECT_FALSE(west);
+    }
   }
 }
 

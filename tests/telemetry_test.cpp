@@ -210,10 +210,13 @@ TEST(TelemetryCollector, StrideDoublingKeepsSeriesBoundedAndLossless) {
   std::int64_t moves = 0, deliveries = 0;
   Step prev_step = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0) EXPECT_GT(rows[i].step, prev_step);
+    if (i > 0) {
+      EXPECT_GT(rows[i].step, prev_step);
+    }
     prev_step = rows[i].step;
-    if (i + 1 < rows.size())
+    if (i + 1 < rows.size()) {
       EXPECT_EQ(rows[i].span, collector.series_stride()) << "row " << i;
+    }
     covered += rows[i].span;
     moves += rows[i].moves;
     deliveries += rows[i].deliveries;

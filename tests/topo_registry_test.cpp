@@ -74,7 +74,9 @@ void check_profitable_contract(const Topology& t) {
         EXPECT_EQ(mask_has(mask, d), t.distance(nb, b) < t.distance(a, b))
             << t.name() << ": " << a << "->" << b << " dir " << dir_name(d);
       }
-      if (a == b) EXPECT_EQ(mask, DirMask{0}) << t.name();
+      if (a == b) {
+        EXPECT_EQ(mask, DirMask{0}) << t.name();
+      }
     }
   }
 }
