@@ -36,10 +36,11 @@ struct OutPlan {
   void clear() { out.fill(kInvalidPacket); }
 
   /// The engine's per-node plan cache marks a plan that must be recomputed
-  /// with a sentinel in its first slot (no router ever schedules it).
-  static constexpr PacketId kStale = -2;
-  bool stale() const { return out[0] == kStale; }
-  void mark_stale() { out[0] = kStale; }
+  /// by naming one packet on the first two outlinks, which no validated
+  /// plan does (the engine rejects a packet scheduled twice). All-zero
+  /// bytes read as stale, so a zero-filled cache starts all stale.
+  bool stale() const { return out[0] == out[1] && out[0] != kInvalidPacket; }
+  void mark_stale() { out[0] = out[1] = 0; }
 };
 
 /// A packet scheduled to enter node `to` from node `from` travelling in

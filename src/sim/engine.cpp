@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <iterator>
+#include <cstdlib>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -217,7 +217,7 @@ void Engine::stage_injections() {
     const PacketId p = injections_[injection_cursor_].second;
     const Packet& pk = packets_[p];
     shards_[static_cast<std::size_t>(shard_of_node(pk.source))].due.push_back(
-        WaitingInjection{pk.source, p, injection_queue_tag(pk.source, pk.dest)});
+        DueInjection{pk.source, {p, injection_queue_tag(pk.source, pk.dest)}});
   }
 }
 
@@ -230,54 +230,48 @@ void Engine::inject_band(Shard& sh, bool observed) {
   sh.fault_deferred = 0;
   sh.max_occupancy = 0;
   sh.injected_deliveries.clear();
-  if (sh.due.empty() && sh.waiting.empty()) return;
-  if (!sh.due.empty()) {
-    // Due packets are staged in id order, which traffic sources and
-    // permutations emit source by source, so this is usually sorted already.
-    if (!std::is_sorted(sh.due.begin(), sh.due.end()))
-      std::sort(sh.due.begin(), sh.due.end());
-    if (sh.waiting.empty()) {
-      sh.waiting.swap(sh.due);
+  if (sh.due.empty() && sh.sources.empty()) return;
+  // Due packets are staged in id order, which traffic sources and
+  // permutations emit source by source, so this is usually sorted already.
+  if (!std::is_sorted(sh.due.begin(), sh.due.end()))
+    std::sort(sh.due.begin(), sh.due.end());
+  // One pass over the waiting sources and the sources of the newly due
+  // packets, ascending by source: each source's due packets join its FIFO,
+  // then the source admits what its queues have room for. Sources are
+  // independent (only a node's own queue sees the order of its injections),
+  // so this pass is the whole of the band's injection.
+  sh.sources_next.clear();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < sh.sources.size() || j < sh.due.size()) {
+    std::uint32_t slot;
+    if (j == sh.due.size() ||
+        (i < sh.sources.size() &&
+         sh.pool[sh.sources[i]].source <= sh.due[j].source)) {
+      slot = sh.sources[i++];
     } else {
-      sh.merged.clear();
-      std::merge(sh.waiting.begin(), sh.waiting.end(), sh.due.begin(),
-                 sh.due.end(), std::back_inserter(sh.merged));
-      sh.waiting.swap(sh.merged);
+      // Nothing waits at this source: its due packets enter directly until
+      // one cannot, and only the rest open a FIFO.
+      const NodeId s = sh.due[j].source;
+      if (node_available(s))
+        while (j < sh.due.size() && sh.due[j].source == s &&
+               try_inject(sh, s, sh.due[j].w, observed))
+          ++j;
+      if (j == sh.due.size() || sh.due[j].source != s) continue;
+      slot = acquire_waiting_source(sh, s);
     }
+    WaitingSource& ws = sh.pool[slot];
+    for (; j < sh.due.size() && sh.due[j].source == ws.source; ++j) {
+      enqueue_waiting(ws, sh.due[j].w);
+      ++sh.waiting;
+    }
+    admit_waiting(sh, ws, observed);
+    if (ws.size() == 0)
+      release_waiting_source(sh, slot);
+    else
+      sh.sources_next.push_back(slot);
   }
-  // One pass in (source, id) order, compacting the packets that stay
-  // outside in place. It reads only the records and the occupancy
-  // counters; packet records are touched only for packets that enter.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < sh.waiting.size(); ++i) {
-    const WaitingInjection w = sh.waiting[i];
-    // A down source defers injection entirely — even source == dest
-    // deliveries, which model an ejection at the (dead) node.
-    if (!node_available(w.source)) {
-      sh.waiting[kept++] = w;
-      ++sh.fault_deferred;
-      continue;
-    }
-    if (w.tag == kSelfDelivery) {
-      packets_[w.id].delivered_at = step_;
-      ++sh.delivered;
-      ++sh.injected;
-      if (observed) sh.injected_deliveries.push_back(w.id);
-      continue;
-    }
-    const int used = layout_ == QueueLayout::Central
-                         ? occupancy(w.source)
-                         : inlink_occ_[inlink_index(w.source, w.tag)];
-    if (used >= queue_capacity_) {
-      sh.waiting[kept++] = w;  // §5: wait outside the network
-      continue;
-    }
-    place_packet(w.id, w.source, w.tag, sh.active);
-    packets_[w.id].arrival_inlink = kNoInlink;
-    ++sh.injected;
-    record_occupancy(w.source, sh.max_occupancy);
-  }
-  sh.waiting.resize(kept);
+  sh.sources.swap(sh.sources_next);
   // Merge the newly activated nodes into the sorted prefix.
   const auto mid =
       sh.active.begin() + static_cast<std::ptrdiff_t>(sh.active_sorted);
@@ -286,10 +280,119 @@ void Engine::inject_band(Shard& sh, bool observed) {
   sh.active_sorted = sh.active.size();
 }
 
+std::uint32_t Engine::acquire_waiting_source(Shard& sh, NodeId source) {
+  std::uint32_t slot;
+  if (sh.free_slots.empty()) {
+    slot = static_cast<std::uint32_t>(sh.pool.size());
+    sh.pool.emplace_back();
+  } else {
+    slot = sh.free_slots.back();
+    sh.free_slots.pop_back();
+  }
+  WaitingSource& ws = sh.pool[slot];
+  ws.source = source;
+  ws.count.fill(0);
+  return slot;
+}
+
+void Engine::release_waiting_source(Shard& sh, std::uint32_t slot) {
+  WaitingSource& ws = sh.pool[slot];
+  ws.fifo.clear();
+  ws.head = 0;
+  sh.free_slots.push_back(slot);
+}
+
+void Engine::enqueue_waiting(WaitingSource& ws, const WaitingInjection& w) {
+  ++ws.count[tag_slot(w.tag)];
+  if (ws.size() == 0 || ws.fifo.back().id < w.id) {
+    ws.fifo.push_back(w);
+    return;
+  }
+  // A packet due late with a smaller id than one still waiting: a global
+  // id-order pass would offer it first, so it takes its id place.
+  const auto at = std::upper_bound(
+      ws.fifo.begin() + static_cast<std::ptrdiff_t>(ws.head), ws.fifo.end(),
+      w.id, [](PacketId id, const WaitingInjection& x) { return id < x.id; });
+  ws.fifo.insert(at, w);
+}
+
+bool Engine::try_inject(Shard& sh, NodeId s, const WaitingInjection& w,
+                        bool observed) {
+  if (w.tag == kSelfDelivery) {
+    packets_[w.id].delivered_at = step_;
+    ++sh.delivered;
+    ++sh.injected;
+    if (observed) sh.injected_deliveries.push_back(w.id);
+    return true;
+  }
+  const int used = layout_ == QueueLayout::Central
+                       ? occupancy(s)
+                       : inlink_occ_[inlink_index(s, w.tag)];
+  if (used >= queue_capacity_) return false;
+  place_packet(w.id, s, w.tag, sh.active);
+  packets_[w.id].arrival_inlink = kNoInlink;
+  ++sh.injected;
+  record_occupancy(s, sh.max_occupancy);
+  return true;
+}
+
+bool Engine::may_admit(
+    NodeId source, const std::array<std::int32_t, kNumTagSlots>& count) const {
+  if (count[kSelfSlot] > 0) return true;
+  if (layout_ == QueueLayout::Central)
+    return count[kCentralSlot] > 0 && occupancy(source) < queue_capacity_;
+  const std::size_t base = inlink_index(source, 0);
+  for (std::size_t t = 0; t < kNumDirs; ++t)
+    if (count[t] > 0 && inlink_occ_[base + t] < queue_capacity_) return true;
+  return false;
+}
+
+void Engine::admit_waiting(Shard& sh, WaitingSource& ws, bool observed) {
+  const NodeId s = ws.source;
+  // A down source defers injection entirely — even source == dest
+  // deliveries, which model an ejection at the (dead) node.
+  if (!node_available(s)) {
+    sh.fault_deferred += static_cast<std::int64_t>(ws.size());
+    return;
+  }
+  if (!may_admit(s, ws.count)) return;  // §5: all wait outside the network
+  // Walk in id order. `left` counts the packets not yet passed, per queue,
+  // so the walk stops as soon as none of them could enter. Records that
+  // stay are compacted to [head, keep_end) as the walk goes.
+  std::array<std::int32_t, kNumTagSlots> left = ws.count;
+  std::size_t keep_end = ws.head;
+  std::size_t r = ws.head;
+  while (r < ws.fifo.size()) {
+    const WaitingInjection w = ws.fifo[r++];
+    const std::size_t slot = tag_slot(w.tag);
+    --left[slot];
+    if (try_inject(sh, s, w, observed))
+      --ws.count[slot];
+    else
+      ws.fifo[keep_end++] = w;  // §5: wait outside the network
+    if (!may_admit(s, left)) break;
+  }
+  // The kept records move up against the unwalked rest; the other r -
+  // keep_end walked records left the FIFO.
+  const auto begin = ws.fifo.begin();
+  std::move_backward(begin + static_cast<std::ptrdiff_t>(ws.head),
+                     begin + static_cast<std::ptrdiff_t>(keep_end),
+                     begin + static_cast<std::ptrdiff_t>(r));
+  const std::size_t gone = r - keep_end;
+  ws.head += gone;
+  sh.waiting -= static_cast<std::int64_t>(gone);
+  // Drop the dead prefix once it outweighs the live records, so a source
+  // that never drains keeps a FIFO proportional to its backlog; each
+  // record leaving pays O(1) toward the copy.
+  if (ws.head > 0 && ws.head >= ws.size()) {
+    ws.fifo.erase(begin, begin + static_cast<std::ptrdiff_t>(ws.head));
+    ws.head = 0;
+  }
+}
+
 std::int64_t Engine::injections_waiting() const {
   std::int64_t waiting = 0;
-  for (const Shard& sh : shards_)
-    waiting += static_cast<std::int64_t>(sh.waiting.size()) - sh.fault_deferred;
+  for (const Shard& sh : shards_) waiting += sh.waiting - sh.fault_deferred;
   return waiting;
 }
 
@@ -408,12 +511,21 @@ void Engine::reset_out_plans() {
   // and windows open and close without touching any queue, so reuse stays
   // off for the whole run while one is installed.
   if (!reuse_out_plans_ || !fault_schedule_.empty()) {
-    out_plans_.clear();
+    out_plans_.reset();
     return;
   }
-  OutPlan stale;
-  stale.mark_stale();
-  out_plans_.assign(static_cast<std::size_t>(num_nodes_), stale);
+  // A fresh cache reads stale everywhere and costs only the pages active
+  // nodes touch. A reused one (restore() on a prepared engine) needs only
+  // the currently active nodes marked: every other node is marked by
+  // place_packet when it next receives a packet.
+  if (!out_plans_) {
+    out_plans_.reset(static_cast<OutPlan*>(
+        std::calloc(static_cast<std::size_t>(num_nodes_), sizeof(OutPlan))));
+    MR_REQUIRE_MSG(out_plans_, "out-plan cache allocation failed");
+    return;
+  }
+  for (const Shard& sh : shards_)
+    for (NodeId u : sh.active) mark_plan_stale(u);
 }
 
 void Engine::validate_out_plan(NodeId u, const OutPlan& plan) {
@@ -501,7 +613,7 @@ bool Engine::step_once() {
     inject_band(sh, observed);
     Algorithm& alg = *shard_algorithms_[si];
     sh.moves.clear();
-    const bool reuse = !out_plans_.empty();
+    const bool reuse = out_plans_ != nullptr;
     for (NodeId u : sh.active) {
       if (node_packets_.empty(u)) continue;
       // A node whose queue is unchanged since its last plan re-emits that
@@ -801,14 +913,25 @@ void Engine::exchange_destinations(PacketId a, PacketId b) {
       continue;
     }
     // A packet waiting outside the network keeps its injection queue in its
-    // waiting record; a new destination may change it. Packets not yet due
-    // have no record: theirs is computed when they become due.
-    std::vector<WaitingInjection>& waiting =
-        shards_[static_cast<std::size_t>(shard_of_node(pk.source))].waiting;
-    const WaitingInjection key{pk.source, p, 0};
-    const auto it = std::lower_bound(waiting.begin(), waiting.end(), key);
-    if (it != waiting.end() && it->id == p)
-      it->tag = injection_queue_tag(pk.source, pk.dest);
+    // source's FIFO record; a new destination may change it. Packets not yet
+    // due have no record: theirs is computed when they become due.
+    Shard& sh = shards_[static_cast<std::size_t>(shard_of_node(pk.source))];
+    const auto src = std::lower_bound(
+        sh.sources.begin(), sh.sources.end(), pk.source,
+        [&sh](std::uint32_t slot, NodeId u) {
+          return sh.pool[slot].source < u;
+        });
+    if (src == sh.sources.end() || sh.pool[*src].source != pk.source) continue;
+    WaitingSource& ws = sh.pool[*src];
+    const auto rec = std::lower_bound(
+        ws.fifo.begin() + static_cast<std::ptrdiff_t>(ws.head), ws.fifo.end(),
+        p,
+        [](const WaitingInjection& x, PacketId id) { return x.id < id; });
+    if (rec == ws.fifo.end() || rec->id != p) continue;
+    const QueueTag tag = injection_queue_tag(pk.source, pk.dest);
+    --ws.count[tag_slot(rec->tag)];
+    ++ws.count[tag_slot(tag)];
+    rec->tag = tag;
   }
   ++exchange_count_;
 }

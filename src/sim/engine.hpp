@@ -26,18 +26,22 @@
 // for every shards/threads combination. Phase (b) runs on the
 // coordinator, which is why a StepInterceptor requires one band.
 //
-// Per-step cost is O(active nodes + moves + waiting + due·log due), where
-// `waiting` counts the packets outside the network for a full source queue
-// and `due` those whose injection step has just come: queue occupancy is
-// maintained as incremental counters, packets carry their queue-slot index
-// and cached profitable mask, each band's active-node list and injection
-// waiting list stay sorted by merging newly added entries instead of
-// re-sorting, and offers are grouped by receiving node via a 4-way merge of
-// the per-direction move streams instead of a comparison sort. The
-// outqueue policy itself runs only on the active nodes whose queue changed
-// since their last plan when the router declares
-// Algorithm::plan_out_reads_queue_only() and no fault schedule is
-// installed; every other active node re-emits its cached, already
+// Per-step cost is O(active nodes + moves + due·log due + waiting sources +
+// walked), where `due` counts the packets whose injection step has just
+// come, `waiting sources` the nodes with packets outside the network for a
+// full source queue, and `walked` the waiting records injection reads: the
+// packets that enter, and those passed over before the last one that
+// can. Queue occupancy is maintained as incremental counters,
+// packets carry their queue-slot index and cached profitable mask, each
+// band's active-node list stays sorted by merging newly added entries
+// instead of re-sorting, each waiting source keeps its packets in an id-
+// ordered FIFO with a count per queue so a source none of whose queues
+// has room is passed over in O(1), and offers are grouped by receiving
+// node via a 4-way merge of the per-direction move streams instead of a
+// comparison sort. The outqueue policy itself runs only on the active
+// nodes whose queue changed since their last plan when the router
+// declares Algorithm::plan_out_reads_queue_only() and no fault schedule
+// is installed; every other active node re-emits its cached, already
 // validated plan (DESIGN.md §9).
 //
 // Observation is digest-based: the engine batches each step's moves,
@@ -240,23 +244,46 @@ class Engine : public Sim {
   void exchange_destinations(PacketId a, PacketId b) override;
 
  private:
-  /// A packet whose injection step has come but which is still outside the
-  /// network: its source, its id and the queue it joins there, computed
-  /// once when it becomes due (and again if phase (b) exchanges its
-  /// destination). Ordered by (source, id): a node's queue receives its
-  /// injected packets in id order, and nothing else about the order of
-  /// injection is observable.
+  /// A packet whose injection step has come: its id and the queue it joins
+  /// at its source, computed once when it becomes due (and again if phase
+  /// (b) exchanges its destination while it waits outside the network).
   struct WaitingInjection {
-    NodeId source;
     PacketId id;
     QueueTag tag;  ///< kSelfDelivery when source == dest
-
-    bool operator<(const WaitingInjection& o) const {
-      return source != o.source ? source < o.source : id < o.id;
-    }
   };
   /// WaitingInjection::tag of a packet delivered at its source.
   static constexpr QueueTag kSelfDelivery = 0xFE;
+  /// A newly due packet as staged for its source band, ordered by
+  /// (source, id): a node's queue receives its injected packets in id
+  /// order, and nothing else about the order of injection is observable.
+  struct DueInjection {
+    NodeId source;
+    WaitingInjection w;
+
+    bool operator<(const DueInjection& o) const {
+      return source != o.source ? source < o.source : w.id < o.w.id;
+    }
+  };
+  /// WaitingSource::count index of a tag: the inlink queues, the central
+  /// queue, self-deliveries.
+  static constexpr std::size_t kCentralSlot = kNumDirs;
+  static constexpr std::size_t kSelfSlot = kNumDirs + 1;
+  static constexpr std::size_t kNumTagSlots = kNumDirs + 2;
+  static std::size_t tag_slot(QueueTag tag) {
+    if (tag < kNumDirs) return tag;
+    return tag == kCentralQueue ? kCentralSlot : kSelfSlot;
+  }
+  /// One source's packets outside the network (§5): a FIFO ascending by
+  /// id, and how many of them join each queue, so a source none of whose
+  /// packets' queues has room is passed over without reading the FIFO.
+  struct WaitingSource {
+    NodeId source = kInvalidNode;
+    std::size_t head = 0;  ///< fifo[head..] are waiting; the rest left
+    std::vector<WaitingInjection> fifo;
+    std::array<std::int32_t, kNumTagSlots> count{};
+
+    std::size_t size() const { return fifo.size() - head; }
+  };
 
   /// One row band of the step pipeline: bands own contiguous NodeId
   /// ranges (row-major ids), so per-band sorted lists concatenate to
@@ -278,12 +305,19 @@ class Engine : public Sim {
     std::size_t active_sorted = 0;
 
     // Injection: records of the packets the coordinator staged as newly
-    // due this step, and of the band's packets outside the network (§5),
-    // sorted by (source, id); `merged` is scratch for merging the two.
-    std::vector<WaitingInjection> due;
-    std::vector<WaitingInjection> waiting;
-    std::vector<WaitingInjection> merged;
+    // due this step, and the band's sources with packets outside the
+    // network (§5): `sources` holds indices into `pool`, ascending by
+    // source. A source whose FIFO drains returns its entry, FIFO capacity
+    // included, to `free_slots`, so steady-state injection allocates
+    // nothing; `sources_next` is scratch for merging in new sources.
+    std::vector<DueInjection> due;
     std::size_t staged = 0;  ///< stage_injections' count for `due`
+    std::vector<WaitingSource> pool;
+    std::vector<std::uint32_t> free_slots;
+    std::vector<std::uint32_t> sources;
+    std::vector<std::uint32_t> sources_next;
+    /// Packets in the FIFOs, fault-deferred ones included.
+    std::int64_t waiting = 0;
     std::vector<PacketId> injected_deliveries;
 
     // Phase (a) output, classified after phase (b). Offers that stay in
@@ -327,10 +361,11 @@ class Engine : public Sim {
                     std::vector<NodeId>& active_out);
   void remove_from_node(PacketId p);
   void validate_out_plan(NodeId u, const OutPlan& plan);
-  /// Sizes the out-plan cache with every node stale when the algorithm
-  /// declares plan_out_reads_queue_only() and no fault schedule is
-  /// installed; empties it (reuse off) otherwise. Run by prepare() and
-  /// restore().
+  /// When the algorithm declares plan_out_reads_queue_only() and no fault
+  /// schedule is installed: allocates the out-plan cache zero-filled (every
+  /// node stale, untouched pages free), or, if it exists already, marks the
+  /// active nodes stale. Frees it (reuse off) otherwise. Run by prepare()
+  /// and restore().
   void reset_out_plans();
   void check_capacity_after_transmit(NodeId v);
   void record_occupancy(NodeId u, int& peak);
@@ -359,10 +394,29 @@ class Engine : public Sim {
   /// Coordinator: hands a record of every packet due this step to its
   /// source band's `due` list.
   void stage_injections();
-  /// Resets the band's per-step counters, merges its newly due packets into
-  /// the waiting list, injects every waiting packet whose source queue has
-  /// room (in (source, id) order) and merges the band's active list.
+  /// Resets the band's per-step counters, appends its newly due packets to
+  /// their sources' FIFOs, admits every waiting packet whose source queue
+  /// has room (per source in id order) and merges the band's active list.
   void inject_band(Shard& sh, bool observed);
+  /// Delivers `w` if it is a self-delivery, or places it in its queue at
+  /// the (available) source `s` if that queue has room; false if it must
+  /// wait outside the network.
+  bool try_inject(Shard& sh, NodeId s, const WaitingInjection& w,
+                  bool observed);
+  /// Admits the packets of one waiting source whose queues have room, in id
+  /// order, stopping once no later packet can enter.
+  void admit_waiting(Shard& sh, WaitingSource& ws, bool observed);
+  /// True when some packet counted in `count` could enter at `source` now:
+  /// a self-delivery, or a packet whose queue has room.
+  bool may_admit(NodeId source,
+                 const std::array<std::int32_t, kNumTagSlots>& count) const;
+  /// Takes a free WaitingSource entry for `source` (growing the pool when
+  /// none is free) and returns its index.
+  static std::uint32_t acquire_waiting_source(Shard& sh, NodeId source);
+  /// Empties entry `slot` (keeping its FIFO capacity) and frees it.
+  static void release_waiting_source(Shard& sh, std::uint32_t slot);
+  /// Appends `w` to the FIFO, in its id place if a larger id already waits.
+  static void enqueue_waiting(WaitingSource& ws, const WaitingInjection& w);
   /// Packets of all bands left waiting for a full source queue by this
   /// step's injection, fault-deferred ones excluded.
   std::int64_t injections_waiting() const;
@@ -420,7 +474,7 @@ class Engine : public Sim {
 
   // injection buffer: (step, packet) sorted ascending; cursor advances.
   // Packets due earlier whose source queue was full (or whose source is
-  // down) wait in their band's Shard::waiting list.
+  // down) wait in their source's FIFO in their band (Shard::sources).
   std::vector<std::pair<Step, PacketId>> injections_;
   std::size_t injection_cursor_ = 0;
 

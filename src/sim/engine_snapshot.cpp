@@ -4,11 +4,11 @@
 // The snapshot stores only primary state: packet records, node state
 // words, the injection buffer and the run counters. Everything else the
 // engine keeps — the NodeQueues slab, inlink occupancy counters, the
-// bands' active and waiting lists, cached profitable masks — is derived,
-// and restore() rebuilds it from the packet records: packets sorted by
-// (location, slot) replayed through the slab reproduce the exact queue
-// contents, and since that order is ascending in location, every band's
-// active list comes out sorted for free.
+// bands' active lists and waiting FIFOs, cached profitable masks — is
+// derived, and restore() rebuilds it from the packet records: packets
+// sorted by (location, slot) replayed through the slab reproduce the exact
+// queue contents, and since that order is ascending in location, every
+// band's active list comes out sorted for free.
 #include "sim/engine.hpp"
 
 #include <algorithm>
@@ -56,12 +56,15 @@ EngineSnapshot Engine::snapshot() const {
   s.node_state = node_state_;
   s.injections = injections_;
   s.injection_cursor = injection_cursor_;
-  // Packets waiting outside the network sit in their band's list, sorted
-  // by (source, id); the snapshot carries their ids ascending, and restore
-  // rebuilds the records from the packets.
+  // Packets waiting outside the network sit in their source's FIFO; the
+  // snapshot carries their ids ascending, and restore rebuilds the FIFOs
+  // from the packets.
   for (const Shard& sh : shards_)
-    for (const WaitingInjection& w : sh.waiting)
-      s.waiting_injections.push_back(w.id);
+    for (const std::uint32_t slot : sh.sources) {
+      const WaitingSource& ws = sh.pool[slot];
+      for (std::size_t i = ws.head; i < ws.fifo.size(); ++i)
+        s.waiting_injections.push_back(ws.fifo[i].id);
+    }
   std::sort(s.waiting_injections.begin(), s.waiting_injections.end());
 
   s.delivered_count = delivered_count_;
@@ -168,7 +171,10 @@ void Engine::restore(const EngineSnapshot& snap) {
   is_active_.assign(n, 0);
   for (Shard& sh : shards_) {
     sh.active.clear();
-    sh.waiting.clear();
+    for (const std::uint32_t slot : sh.sources)
+      release_waiting_source(sh, slot);
+    sh.sources.clear();
+    sh.waiting = 0;
   }
 
   // Replaying the queued packets in (location, slot) order through the
@@ -206,13 +212,25 @@ void Engine::restore(const EngineSnapshot& snap) {
   for (Shard& sh : shards_)
     sh.active_sorted = sh.active.size();  // queued was location-ordered
   active_cache_valid_ = false;
+  // Each band's waiting packets, grouped by source in id order (staged in
+  // `due`, which is empty between steps), refill the FIFOs; the stage-time
+  // tag is recomputed from the current destination.
+  for (Shard& sh : shards_) sh.due.clear();
   for (PacketId p : snap.waiting_injections) {
     const Packet& pk = packets_[p];
-    shards_[static_cast<std::size_t>(shard_of_node(pk.source))]
-        .waiting.push_back(WaitingInjection{
-            pk.source, p, injection_queue_tag(pk.source, pk.dest)});
+    shards_[static_cast<std::size_t>(shard_of_node(pk.source))].due.push_back(
+        DueInjection{pk.source, {p, injection_queue_tag(pk.source, pk.dest)}});
   }
-  for (Shard& sh : shards_) std::sort(sh.waiting.begin(), sh.waiting.end());
+  for (Shard& sh : shards_) {
+    std::sort(sh.due.begin(), sh.due.end());
+    for (std::size_t i = 0; i < sh.due.size(); ++i) {
+      if (i == 0 || sh.due[i].source != sh.due[i - 1].source)
+        sh.sources.push_back(acquire_waiting_source(sh, sh.due[i].source));
+      enqueue_waiting(sh.pool[sh.sources.back()], sh.due[i].w);
+    }
+    sh.waiting = static_cast<std::int64_t>(sh.due.size());
+    sh.due.clear();
+  }
   packet_scheduled_.assign(packets_.size(), 0);
 
   // Fault availability is derived state: snapshots carry no fault fields,

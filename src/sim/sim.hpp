@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <vector>
@@ -178,8 +179,7 @@ class Sim {
 
  protected:
   void mark_plan_stale(NodeId u) {
-    if (!out_plans_.empty())
-      out_plans_[static_cast<std::size_t>(u)].mark_stale();
+    if (out_plans_) out_plans_[static_cast<std::size_t>(u)].mark_stale();
   }
 
   /// Validates and appends a new packet record (shared add_packet core).
@@ -238,9 +238,14 @@ class Sim {
   std::int64_t total_moves_ = 0;
 
   /// Engine's per-node out-plan cache (Algorithm::plan_out_reads_queue_only):
-  /// the last validated plan of each node, OutPlan::kStale when the node's
-  /// queue changed since. Empty while plan reuse is off.
-  std::vector<OutPlan> out_plans_;
+  /// the last validated plan of each node, OutPlan::stale() when the node's
+  /// queue changed since. A zero-filled allocation (calloc), so the pages of
+  /// nodes that never hold a packet are never written; null while plan
+  /// reuse is off.
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
+  std::unique_ptr<OutPlan[], FreeDeleter> out_plans_;
   std::uint64_t context_id_;
 };
 

@@ -3,11 +3,13 @@
 // network while the queue is full, re-enter in deterministic (id) order,
 // and never depend on destination addresses for their timing. The
 // injection-order cases run in lock-step with the ReferenceEngine, which
-// offers every outside packet in global id order each step.
+// offers every outside packet in global id order each step; the saturated
+// case pins that order under a backlog of thousands of waiting packets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "topo/mesh.hpp"
+#include "traffic/source.hpp"
 #include "workload/permutation.hpp"
 
 namespace mr {
@@ -36,29 +39,38 @@ class WaitingLog final : public StepObserver {
   std::vector<std::int64_t> waiting;
 };
 
-/// Phase (b) hook exchanging the destinations of fixed packet pairs at
-/// one step.
+using ExchangePairs = std::vector<std::pair<PacketId, PacketId>>;
+/// Picks the pairs to exchange from the configuration phase (b) sees.
+using ExchangePick = std::function<ExchangePairs(const Sim&)>;
+
+/// Phase (b) hook exchanging the destinations of the packet pairs `pick`
+/// names at one step.
 class ExchangeAt final : public StepInterceptor {
  public:
-  ExchangeAt(Step step, std::vector<std::pair<PacketId, PacketId>> pairs)
-      : step_(step), pairs_(std::move(pairs)) {}
+  ExchangeAt(Step step, ExchangePick pick)
+      : step_(step), pick_(std::move(pick)) {}
   void after_schedule(Sim& e, std::span<const ScheduledMove>) override {
     if (e.step() != step_) return;
-    for (const auto& [a, b] : pairs_) e.exchange_destinations(a, b);
+    for (const auto& [a, b] : pick_(e)) e.exchange_destinations(a, b);
   }
 
  private:
   Step step_;
-  std::vector<std::pair<PacketId, PacketId>> pairs_;
+  ExchangePick pick_;
 };
 
 struct LockstepOptions {
   std::string faults;  ///< fault schedule grammar; empty for none
   /// Sees the engine after prepare() and after each step.
   std::function<void(const Engine&)> inspect;
-  /// Destination exchanges in phase (b) of `exchange_step`.
+  /// Destination exchanges in phase (b) of `exchange_step` (one band only).
   Step exchange_step = 0;
-  std::vector<std::pair<PacketId, PacketId>> exchanges;
+  ExchangePick exchanges;
+  int shards = 1;  ///< row bands of the optimized engine, stepped serially
+  Step max_steps = 512;
+  /// Accept a run that ends stalled (both engines must agree on the step)
+  /// instead of requiring every packet delivered.
+  bool may_stall = false;
 };
 
 /// Runs the Engine and the ReferenceEngine side by side on `demands` and
@@ -73,6 +85,7 @@ std::vector<std::int64_t> expect_lockstep(const Mesh& mesh,
   Engine::Config config;
   config.queue_capacity = k;
   config.stall_limit = 64;
+  config.shards = options.shards;
   Engine opt(mesh, config, *algo_opt);
   ReferenceEngine ref(mesh, k, config.stall_limit, *algo_ref);
   if (!options.faults.empty()) {
@@ -85,7 +98,7 @@ std::vector<std::int64_t> expect_lockstep(const Mesh& mesh,
   }
   ExchangeAt hook_opt(options.exchange_step, options.exchanges);
   ExchangeAt hook_ref(options.exchange_step, options.exchanges);
-  if (!options.exchanges.empty()) {
+  if (options.exchanges) {
     opt.set_interceptor(&hook_opt);
     ref.set_interceptor(&hook_ref);
   }
@@ -103,7 +116,7 @@ std::vector<std::int64_t> expect_lockstep(const Mesh& mesh,
   ref.prepare();
   EXPECT_EQ(opt.fingerprint(), ref.fingerprint()) << "prepare() diverged";
   if (options.inspect) options.inspect(opt);
-  while (opt.step() < 512) {
+  while (opt.step() < options.max_steps) {
     const bool more = opt.step_once();
     EXPECT_EQ(more, ref.step_once()) << "drain diverged at step " << opt.step();
     if (!more) break;
@@ -112,8 +125,13 @@ std::vector<std::int64_t> expect_lockstep(const Mesh& mesh,
     EXPECT_EQ(hash_opt.hash(), hash_ref.hash())
         << "digest stream diverged at step " << opt.step();
     if (options.inspect) options.inspect(opt);
+    EXPECT_EQ(opt.stalled(), ref.stalled())
+        << "stall diverged at step " << opt.step();
+    if (opt.stalled()) break;
   }
-  EXPECT_TRUE(opt.all_delivered());
+  if (!options.may_stall) {
+    EXPECT_TRUE(opt.all_delivered());
+  }
   EXPECT_EQ(log_opt.waiting, log_ref.waiting);
   return log_opt.waiting;
 }
@@ -357,7 +375,7 @@ TEST(DynamicInjection, ExchangedWaitingPacketsJoinTheirNewQueues) {
   w.push_back(Demand{s, mesh.id_of(7, 1)});  // 6: row, waits
   LockstepOptions options;
   options.exchange_step = 1;
-  options.exchanges = {{1, 5}, {3, 6}};
+  options.exchanges = [](const Sim&) { return ExchangePairs{{1, 5}, {3, 6}}; };
   Step self_delivered_at = -1;
   bool entered_network = false;
   options.inspect = [&](const Engine& e) {
@@ -370,6 +388,114 @@ TEST(DynamicInjection, ExchangedWaitingPacketsJoinTheirNewQueues) {
   EXPECT_EQ(waiting.front(), 4);  // 1, 3 and 6 at s; 5 at t
   EXPECT_EQ(self_delivered_at, 2);
   EXPECT_FALSE(entered_network);
+}
+
+/// Packets of `e` waiting outside the network, by source, ascending by id.
+std::map<NodeId, std::vector<PacketId>> waiting_by_source(const Sim& e) {
+  std::map<NodeId, std::vector<PacketId>> by_source;
+  for (const Packet& pk : e.all_packets())
+    if (!pk.delivered() && pk.location == kInvalidNode &&
+        pk.injected_at <= e.step())
+      by_source[pk.source].push_back(pk.id);
+  return by_source;
+}
+
+/// The injection queue a packet from `s` to `t` joins under the per-inlink
+/// layout (mirror of the engines' rule: the inlink opposite the first
+/// profitable direction in E, W, N, S order).
+int inlink_tag(const Sim& e, NodeId s, NodeId t) {
+  const DirMask m = e.topology().profitable_dirs(s, t);
+  for (Dir d : {Dir::East, Dir::West, Dir::North, Dir::South})
+    if (mask_has(m, d)) return dir_index(opposite(d));
+  return dir_index(Dir::South);
+}
+
+TEST(DynamicInjection, SaturatedBacklogMatchesReference) {
+  // Bernoulli traffic at 0.9 packets per node per step for 300 steps, far
+  // above what an 8x8 mesh accepts (about 0.5), so thousands of packets
+  // wait outside full source queues. The engine must offer them exactly as
+  // the reference's global id-order pass does, on one band and on three,
+  // through a fault window that takes down two backlogged sources, and
+  // (one band) through exchanges that re-tag packets deep in the longest
+  // source FIFO. Central queues at k = 1 deadlock within a few steps of
+  // such a load, so dimension-order runs its whole injection window with
+  // every source blocked, and bounded-dimension-order at k = 1 stalls late
+  // in the drain: a stall both engines reach on the same step is a pass.
+  const Mesh mesh = Mesh::square(8);
+  TrafficSpec spec;
+  spec.rate = 0.9;
+  spec.seed = 23;
+  BernoulliSource source(mesh, spec);
+  const Workload traffic = materialize_traffic(source, 1, 300);
+  constexpr Step kExchangeStep = 200;
+  const std::vector<std::pair<std::string, int>> configs = {
+      {"dimension-order", 1},
+      {"bounded-dimension-order", 1},
+      {"bounded-dimension-order", 2},
+      {"emps", 1},
+      {"emps", 2}};
+  for (const auto& [router, k] : configs) {
+    for (const int shards : {1, 3}) {
+      SCOPED_TRACE(router + " k=" + std::to_string(k) +
+                   " shards=" + std::to_string(shards));
+      LockstepOptions options;
+      options.shards = shards;
+      options.max_steps = 20000;
+      options.may_stall = true;
+      options.faults = "node:9@120-150,node:45@140-170";
+      std::size_t deep_position = 0;
+      std::size_t exchanged = 0;
+      if (shards == 1) {
+        options.exchange_step = kExchangeStep;
+        options.exchanges = [&deep_position, &exchanged](const Sim& e) {
+          // In the longest FIFO, hand the packet three quarters down a
+          // destination with another per-inlink injection queue (under the
+          // central layout every packet joins the one queue, so only the
+          // next exchange re-tags) and the packet halfway down its own
+          // source as destination, so it is delivered from the middle of
+          // the FIFO.
+          const auto by_source = waiting_by_source(e);
+          const std::vector<PacketId>* longest = nullptr;
+          NodeId s = kInvalidNode;
+          for (const auto& [u, ids] : by_source)
+            if (longest == nullptr || ids.size() > longest->size()) {
+              longest = &ids;
+              s = u;
+            }
+          ExchangePairs pairs;
+          if (longest == nullptr) return pairs;
+          const PacketId deep = (*longest)[longest->size() * 3 / 4];
+          const PacketId mid = (*longest)[longest->size() / 2];
+          deep_position = longest->size() * 3 / 4;
+          const auto& pk = e.all_packets();
+          PacketId retag = kInvalidPacket;
+          PacketId self = kInvalidPacket;
+          for (const auto& [u, ids] : by_source) {
+            if (u == s) continue;
+            for (const PacketId p : ids) {
+              if (retag == kInvalidPacket && inlink_tag(e, s, pk[p].dest) !=
+                                                 inlink_tag(e, s, pk[deep].dest))
+                retag = p;
+              if (self == kInvalidPacket && p != retag && pk[p].dest == s)
+                self = p;
+            }
+          }
+          if (retag != kInvalidPacket) pairs.emplace_back(deep, retag);
+          if (self != kInvalidPacket) pairs.emplace_back(mid, self);
+          exchanged = pairs.size();
+          return pairs;
+        };
+      }
+      const std::vector<std::int64_t> waiting =
+          expect_lockstep(mesh, router, k, traffic, options);
+      ASSERT_GT(waiting.size(), 300u);
+      EXPECT_GT(*std::max_element(waiting.begin(), waiting.end()), 1000);
+      if (shards == 1) {
+        EXPECT_GE(deep_position, 20u);
+        EXPECT_EQ(exchanged, 2u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/fuzz.hpp"
@@ -18,6 +19,7 @@
 #include "sim/engine.hpp"
 #include "sim/snapshot.hpp"
 #include "topo/registry.hpp"
+#include "traffic/source.hpp"
 #include "workload/permutation.hpp"
 
 namespace mr {
@@ -302,6 +304,66 @@ TEST(Snapshot, RewindRestoresPeakOccupancy) {
     engine.restore(start);
     engine.step_once();
     EXPECT_EQ(engine.max_occupancy_seen(), early_peak);
+  }
+}
+
+TEST(Snapshot, RestoresALargeBacklogMidRun) {
+  // Bernoulli traffic at 0.9 packets per node per step, far above what an
+  // 8x8 mesh accepts, snapshotted mid-run with thousands of packets
+  // waiting outside full source queues: the waiting FIFOs rebuilt from the
+  // snapshot's id list must continue the run bit-identically, on one band
+  // and on three, and a waiting list with two ids swapped is still
+  // rejected.
+  const std::unique_ptr<Topology> topo = make_topology("mesh", 8, 8);
+  TrafficSpec spec;
+  spec.rate = 0.9;
+  spec.seed = 5;
+  BernoulliSource source(*topo, spec);
+  const Workload traffic = materialize_traffic(source, 1, 150);
+  constexpr Step kBacklogStep = 120;
+  const auto make_engine = [&](int shards) {
+    auto e = std::make_unique<Engine>(*topo, engine_config(shards), [] {
+      return make_algorithm("bounded-dimension-order");
+    });
+    for (const Demand& d : traffic)
+      e->add_packet(d.source, d.dest, d.injected_at);
+    return e;
+  };
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::unique_ptr<Engine> straight = make_engine(shards);
+    straight->prepare();
+    while (straight->step() < kBacklogStep && straight->step_once()) {
+    }
+    const EngineSnapshot snap =
+        parse_snapshot(serialize_snapshot(straight->snapshot()));
+    ASSERT_GT(snap.waiting_injections.size(), 1000u);
+    Outcome want;
+    run_tail(*straight, &want);
+    EXPECT_TRUE(straight->all_delivered());
+
+    Engine fresh(*topo, engine_config(shards),
+                 [] { return make_algorithm("bounded-dimension-order"); });
+    fresh.restore(snap);
+    Outcome got;
+    run_tail(fresh, &got);
+    EXPECT_EQ(got.fingerprint, want.fingerprint);
+    EXPECT_EQ(got.tail_digest, want.tail_digest);
+    EXPECT_EQ(got.steps, want.steps);
+    EXPECT_EQ(got.delivered, want.delivered);
+    EXPECT_EQ(got.total_moves, want.total_moves);
+    EXPECT_EQ(got.max_occupancy, want.max_occupancy);
+
+    EngineSnapshot swapped = snap;
+    std::swap(swapped.waiting_injections[500], swapped.waiting_injections[501]);
+    Engine other(*topo, engine_config(shards),
+                 [] { return make_algorithm("bounded-dimension-order"); });
+    try {
+      other.restore(parse_snapshot(serialize_snapshot(swapped)));
+      ADD_FAILURE() << "restore accepted a waiting list out of id order";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::Format) << e.what();
+    }
   }
 }
 
