@@ -66,7 +66,7 @@ void AdaptiveAlternateRouter::dx_plan_out(
 void AdaptiveAlternateRouter::dx_plan_in(NodeCtx& ctx,
                                          std::span<const DxOffer> offers,
                                          InPlan& plan) {
-  rotating_accept(ctx.state, ctx.capacity - ctx.resident, offers, plan);
+  rotating_accept(ctx.state, ctx.capacity() - ctx.resident(), offers, plan);
 }
 
 void AdaptiveAlternateRouter::dx_update(NodeCtx& ctx,
@@ -75,7 +75,7 @@ void AdaptiveAlternateRouter::dx_update(NodeCtx& ctx,
   // here) was blocked: switch its preferred axis, provided both axes are
   // still profitable. Newly arrived packets keep their preference.
   for (PacketDxView& v : resident) {
-    if (v.arrived_at == ctx.step) continue;
+    if (v.arrived_at == ctx.step()) continue;
     const bool h = (v.profitable & kHorizontal) != 0;
     const bool vert = (v.profitable & kVertical) != 0;
     if (h && vert) {
@@ -110,7 +110,7 @@ void GreedyMatchRouter::dx_plan_out(NodeCtx& ctx,
 void GreedyMatchRouter::dx_plan_in(NodeCtx& ctx,
                                    std::span<const DxOffer> offers,
                                    InPlan& plan) {
-  rotating_accept(ctx.state + 1, ctx.capacity - ctx.resident, offers, plan);
+  rotating_accept(ctx.state + 1, ctx.capacity() - ctx.resident(), offers, plan);
 }
 
 void GreedyMatchRouter::dx_update(NodeCtx& ctx, std::span<PacketDxView>) {

@@ -1,5 +1,7 @@
 #include "routing/bounded_dimension_order.hpp"
 
+#include <array>
+
 namespace mr {
 
 namespace {
@@ -66,9 +68,6 @@ void BoundedDimensionOrderRouter::dx_plan_out(
 
 void BoundedDimensionOrderRouter::dx_plan_in(
     NodeCtx& ctx, std::span<const DxOffer> offers, InPlan& plan) {
-  // Occupancy per inlink queue at the start of the step, precomputed by
-  // the engine's incremental counters.
-  const std::array<int, kNumDirs>& occupancy = ctx.inlink_occupancy;
   // The Theorem 15 guarantee behind unconditional column acceptance — a
   // non-empty column queue always ejects one packet this very step — is
   // void for the whole run once a fault schedule is installed, not just
@@ -80,14 +79,16 @@ void BoundedDimensionOrderRouter::dx_plan_in(
   // after the window lifts. In fault mode the router falls back to
   // capacity-checked acceptance on every queue (reroute-or-stall: the
   // sender retries next step); fault-free runs are bit-identical.
-  const bool guaranteed_eject = !ctx.fault_mode;
+  const bool guaranteed_eject = !ctx.fault_mode();
+  const int capacity = ctx.capacity();
   for (std::size_t i = 0; i < offers.size(); ++i) {
     const Dir travel = offers[i].travel_dir;
     const int queue = dir_index(opposite(travel));
     if (guaranteed_eject && (travel == Dir::North || travel == Dir::South)) {
       plan.accept[i] = true;
     } else {
-      plan.accept[i] = occupancy[queue] < ctx.capacity;
+      // Occupancy of the inlink queue at the start of phase (c).
+      plan.accept[i] = ctx.inlink_occupancy(queue) < capacity;
     }
   }
 }

@@ -41,7 +41,7 @@ void DimensionOrderRouter::dx_plan_in(NodeCtx& ctx,
   // starting inlink advances by one every step (see dx_update). Accepts
   // conservatively: never more than the space that remains even if none of
   // the node's own packets departs.
-  int free = ctx.capacity - ctx.resident;
+  int free = ctx.capacity() - ctx.resident();
   const int start = static_cast<int>(ctx.state % kNumDirs);
   for (int r = 0; r < kNumDirs && free > 0; ++r) {
     const Dir want = static_cast<Dir>((start + r) % kNumDirs);

@@ -18,14 +18,15 @@
 // phases (the phase-(b) interceptor may change profitable masks in
 // between):
 //   * dx_init and dx_plan_out receive the node's resident views. A router
-//     constructed with PlanOut::QueueOnly gets ctx.state and ctx.step as 0
-//     in dx_plan_out, so its plan is a function of the queue alone; the
+//     constructed with PlanOut::QueueOnly gets ctx.state and ctx.step() as
+//     0 in dx_plan_out, so its plan is a function of the queue alone; the
 //     engine then calls plan_out only on nodes whose queue changed since
 //     their last plan (a packet arrived, left, changed state or had its
 //     destination exchanged) and re-emits the cached plan elsewhere;
-//   * dx_plan_in receives no resident views, only the offers. NodeCtx
-//     carries the counts an inqueue policy needs — `resident` and
-//     `inlink_occupancy` — read at the start of phase (c);
+//   * dx_plan_in receives no resident views, only the offers: id, travel
+//     direction and profitable outlinks from the sender. The queue counts
+//     an inqueue policy needs — ctx.resident() and ctx.inlink_occupancy(t)
+//     — are those at the start of phase (c);
 //   * dx_update receives the resident views after transmission, and the
 //     node and packet states it leaves are written back. A router that
 //     constructs the adapter with Update::NodeState gets an empty span
@@ -33,8 +34,12 @@
 //     built with Update::None never reaches dx_update: update_state
 //     returns before building a context or views.
 //
-// The node-constant part of NodeCtx (mesh shape, k, fault_mode) and the
-// step are filled once per step, not once per callback.
+// NodeCtx is a handle, not a record: apart from the node and its state,
+// every field is an accessor that reads the Sim when called, so a policy
+// pays only for what it reads, and nothing is filled once per step or once
+// per callback. Accessors are valid only during the callback the context is
+// passed to. Phases (a)-(c) move no packet and phase (e) runs after
+// transmission, so every value read equals the one at the callback's start.
 //
 // A node IS allowed to know its own identity, coordinates, the mesh shape,
 // k and the global step counter: the lower-bound argument never relocates
@@ -42,7 +47,6 @@
 // exchange-equivariance.
 #pragma once
 
-#include <array>
 #include <span>
 #include <vector>
 
@@ -65,33 +69,47 @@ struct PacketDxView {
 };
 
 /// A scheduled packet offered to a node, with profitability measured from
-/// the sender, as §2 prescribes.
+/// the sender, as §2 prescribes. No other field of the packet is read.
 struct DxOffer {
-  PacketDxView view;
+  PacketId id = kInvalidPacket;
+  DirMask profitable = 0;  ///< profitable outlinks from the sending node
   Dir travel_dir = Dir::North;  ///< direction of the scheduled move
 };
 
 class DxAlgorithm : public Algorithm {
  public:
-  /// Context of the node whose policy is running.
-  struct NodeCtx {
+  /// Context of the node whose policy is running: the node, its state and
+  /// accessors that read the Sim when called. Valid only during the
+  /// callback it is passed to. The Sim is private, so no policy reaches a
+  /// packet record or a destination through it.
+  class NodeCtx {
+   public:
     NodeId node = kInvalidNode;
-    Coord coord;
-    std::int32_t width = 0;    ///< mesh dimensions (a node knows the mesh)
-    std::int32_t height = 0;
-    bool torus = false;
-    Step step = 0;             ///< step being executed (0 during init)
-    int capacity = 0;          ///< k
-    std::uint64_t state = 0;   ///< node state; written back after the call
+    std::uint64_t state = 0;  ///< node state; written back after the call
+
+    /// Step being executed (0 during init, and in dx_plan_out of a router
+    /// constructed with PlanOut::QueueOnly).
+    Step step() const { return hide_step_ ? 0 : sim_->step(); }
+    Coord coord() const { return sim_->mesh().coord_of(node); }
+    /// Mesh dimensions (a node knows the mesh).
+    std::int32_t width() const { return sim_->mesh().width(); }
+    std::int32_t height() const { return sim_->mesh().height(); }
+    bool torus() const { return sim_->mesh().is_torus(); }
+    int capacity() const { return sim_->queue_capacity(); }  ///< k
+
     /// Packets queued at this node, all queues together. §2-legal: the
     /// number of resident views, provided to the inqueue policy, which
     /// receives no views.
-    int resident = 0;
-    /// Per-inlink queue occupancy at this node (PerInlink layout only;
-    /// all-zero under the central layout). §2-legal: derivable from the
-    /// resident packet views, provided precomputed so policies need not
+    int resident() const { return sim_->occupancy(node); }
+    /// Occupancy of inlink queue t at this node (PerInlink layout only;
+    /// 0 under the central layout). §2-legal: derivable from the resident
+    /// packet views, read from the engine's counters so policies need not
     /// rescan the queue.
-    std::array<int, kNumDirs> inlink_occupancy{};
+    int inlink_occupancy(int t) const {
+      return sim_->queue_layout() == QueueLayout::PerInlink
+                 ? sim_->occupancy(node, static_cast<QueueTag>(t))
+                 : 0;
+    }
 
     /// True when a non-empty fault schedule (sim/fault.hpp) is installed
     /// for this run — whether or not a window is active at this step.
@@ -104,19 +122,28 @@ class DxAlgorithm : public Algorithm {
     /// window. Environmental knowledge, not destination-derived, so
     /// exchange-equivariance is unaffected. Faults otherwise reach a
     /// policy only through the masked profitable outlinks.
-    bool fault_mode = false;
+    bool fault_mode() const { return !sim_->fault_schedule().empty(); }
 
     /// True if the outlink in direction d exists from this node.
     bool has_outlink(Dir d) const {
-      if (torus) return true;
+      if (torus()) return true;
+      const Coord c = coord();
       switch (d) {
-        case Dir::North: return coord.row + 1 < height;
-        case Dir::South: return coord.row > 0;
-        case Dir::East: return coord.col + 1 < width;
-        case Dir::West: return coord.col > 0;
+        case Dir::North: return c.row + 1 < height();
+        case Dir::South: return c.row > 0;
+        case Dir::East: return c.col + 1 < width();
+        case Dir::West: return c.col > 0;
       }
       return false;
     }
+
+   private:
+    friend class DxAlgorithm;
+    NodeCtx(const Sim& e, NodeId u, std::uint64_t s, bool hide_step)
+        : node(u), state(s), sim_(&e), hide_step_(hide_step) {}
+
+    const Sim* sim_;
+    bool hide_step_;
   };
 
   /// What the router type's state update (dx_update) reads. Defined: the
@@ -129,7 +156,7 @@ class DxAlgorithm : public Algorithm {
 
   /// What the router type's outqueue policy (dx_plan_out) reads. Node: the
   /// whole NodeCtx. QueueOnly: the resident views and the node-constant
-  /// context fields only — dx_plan_out gets ctx.state and ctx.step as 0 —
+  /// context only — dx_plan_out gets ctx.state and ctx.step() as 0 —
   /// so the router declares plan_out_reads_queue_only() and the engine
   /// re-uses a node's plan while its queue is unchanged.
   enum class PlanOut { Node, QueueOnly };
@@ -160,7 +187,7 @@ class DxAlgorithm : public Algorithm {
   }
 
   /// Outqueue policy: schedule at most one resident packet per outlink.
-  /// ctx.state and ctx.step read 0 on a router constructed with
+  /// ctx.state and ctx.step() read 0 on a router constructed with
   /// PlanOut::QueueOnly.
   virtual void dx_plan_out(NodeCtx& ctx,
                            std::span<const PacketDxView> resident,
@@ -168,8 +195,8 @@ class DxAlgorithm : public Algorithm {
 
   /// Inqueue policy: fill plan.accept (same indexing as offers). Must
   /// guarantee no overflow given that none of the node's own packets is
-  /// certain to leave; ctx.resident and ctx.inlink_occupancy give the
-  /// queue lengths at the start of phase (c).
+  /// certain to leave; ctx.resident() and ctx.inlink_occupancy(t) give
+  /// the queue lengths at the start of phase (c).
   virtual void dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
                           InPlan& plan) = 0;
 
@@ -183,17 +210,10 @@ class DxAlgorithm : public Algorithm {
   }
 
  private:
-  /// The context of node u: the node-constant fields and the step come
-  /// from ctx_base_, refreshed once per (Sim configuration, step); only the
-  /// per-node fields are read here.
-  NodeCtx make_ctx(const Sim& e, NodeId u);
   void fill_views(const Sim& e, NodeId u);
 
   Update update_;
   PlanOut plan_out_;
-  NodeCtx ctx_base_;
-  std::uint64_t ctx_base_id_ = 0;  ///< Sim::context_id() of ctx_base_
-  Step ctx_base_step_ = -1;
   // scratch, reused across callbacks
   std::vector<PacketDxView> views_;
   std::vector<DxOffer> dx_offers_;

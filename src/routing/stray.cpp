@@ -25,7 +25,7 @@ void StrayRouter::dx_plan_out(NodeCtx& ctx,
 
 void StrayRouter::dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
                              InPlan& plan) {
-  int free = ctx.capacity - ctx.resident;
+  int free = ctx.capacity() - ctx.resident();
   const int start = static_cast<int>(ctx.state % kNumDirs);
   for (int r = 0; r < kNumDirs && free > 0; ++r) {
     const Dir want = static_cast<Dir>((start + r) % kNumDirs);
@@ -41,7 +41,7 @@ void StrayRouter::dx_plan_in(NodeCtx& ctx, std::span<const DxOffer> offers,
 
 void StrayRouter::dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) {
   for (PacketDxView& v : resident) {
-    const bool moved = v.arrived_at == ctx.step;
+    const bool moved = v.arrived_at == ctx.step();
     if (moved) {
       if (armed(v.state) && v.arrival_inlink < kNumDirs &&
           opposite(static_cast<Dir>(v.arrival_inlink)) ==

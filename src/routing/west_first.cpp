@@ -60,7 +60,7 @@ void WestFirstRouter::dx_plan_out(NodeCtx& ctx,
 void WestFirstRouter::dx_plan_in(NodeCtx& ctx,
                                  std::span<const DxOffer> offers,
                                  InPlan& plan) {
-  int free = ctx.capacity - ctx.resident;
+  int free = ctx.capacity() - ctx.resident();
   const int start = static_cast<int>((ctx.state >> 8) & 0x3u);
   for (int r = 0; r < kNumDirs && free > 0; ++r) {
     const Dir want = static_cast<Dir>((start + r) % kNumDirs);
@@ -83,7 +83,7 @@ void WestFirstRouter::dx_update(NodeCtx& ctx,
   // some neighbour; we bump the inlink direction's counter so future
   // adaptive choices spread away from busy corridors.
   for (const PacketDxView& v : resident) {
-    if (v.arrived_at == ctx.step && v.arrival_inlink < kNumDirs)
+    if (v.arrived_at == ctx.step() && v.arrival_inlink < kNumDirs)
       state = bump_use(state, static_cast<Dir>(v.arrival_inlink));
   }
   // Advance the rotating inqueue pointer.

@@ -7,19 +7,20 @@ namespace mr {
 void ScheduleFollower::dx_plan_out(NodeCtx& ctx,
                                    std::span<const PacketDxView> resident,
                                    OutPlan& plan) {
+  const Step step = ctx.step();
   for (const PacketDxView& view : resident) {
     const std::size_t i = static_cast<std::size_t>(view.id);
     MR_REQUIRE_MSG(i < schedule_->packets.size(),
                    "packet " << view.id << " has no timetable");
     const PacketSchedule& p = schedule_->packets[i];
     const auto it =
-        std::lower_bound(p.depart.begin(), p.depart.end(), ctx.step);
-    if (it == p.depart.end() || *it != ctx.step) continue;  // waiting
+        std::lower_bound(p.depart.begin(), p.depart.end(), step);
+    if (it == p.depart.end() || *it != step) continue;  // waiting
     const std::size_t h =
         static_cast<std::size_t>(it - p.depart.begin());
     MR_REQUIRE_MSG(p.path.nodes[h] == ctx.node,
                    "packet " << view.id << " is at node " << ctx.node
-                             << " at step " << ctx.step
+                             << " at step " << step
                              << " but its timetable places it at "
                              << p.path.nodes[h]);
     plan.schedule(p.path.dirs[h], view.id);

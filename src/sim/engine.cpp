@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
+
+#include <sys/mman.h>
 
 #include "core/parallel.hpp"
 
@@ -515,13 +516,19 @@ void Engine::reset_out_plans() {
     return;
   }
   // A fresh cache reads stale everywhere and costs only the pages active
-  // nodes touch. A reused one (restore() on a prepared engine) needs only
-  // the currently active nodes marked: every other node is marked by
-  // place_packet when it next receives a packet.
+  // nodes touch: an anonymous mapping hands out zero pages on first touch,
+  // where a heap allocation that recycles freed memory (a repeated set-up)
+  // would be cleared by writing all of it. A reused one (restore() on a
+  // prepared engine) needs only the currently active nodes marked: every
+  // other node is marked by place_packet when it next receives a packet.
   if (!out_plans_) {
-    out_plans_.reset(static_cast<OutPlan*>(
-        std::calloc(static_cast<std::size_t>(num_nodes_), sizeof(OutPlan))));
-    MR_REQUIRE_MSG(out_plans_, "out-plan cache allocation failed");
+    const std::size_t bytes =
+        static_cast<std::size_t>(num_nodes_) * sizeof(OutPlan);
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    MR_REQUIRE_MSG(p != MAP_FAILED, "out-plan cache allocation failed");
+    out_plans_ = std::unique_ptr<OutPlan[], UnmapDeleter>(
+        static_cast<OutPlan*>(p), UnmapDeleter{bytes});
     return;
   }
   for (const Shard& sh : shards_)

@@ -1,15 +1,10 @@
 #include "sim/sim.hpp"
 
-#include <atomic>
+#include <sys/mman.h>
 
 namespace mr {
 
 namespace {
-std::uint64_t next_context_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 // 64-bit FNV-1a, used for configuration fingerprints.
 struct Fnv {
   std::uint64_t h = 14695981039346656037ULL;
@@ -31,8 +26,7 @@ Sim::Sim(const Topology& topo, int queue_capacity, QueueLayout layout,
       wraps_(topo.is_torus()),
       queue_capacity_(queue_capacity),
       layout_(layout),
-      masks_cached_(masks_cached),
-      context_id_(next_context_id()) {
+      masks_cached_(masks_cached) {
   MR_REQUIRE_MSG(queue_capacity_ >= 1,
                  "queue capacity k must be positive, got " << queue_capacity_);
   const auto n = static_cast<std::size_t>(num_nodes_);
@@ -46,6 +40,8 @@ Sim::Sim(const Topology& topo, int queue_capacity, QueueLayout layout,
 }
 
 Sim::~Sim() = default;
+
+void Sim::UnmapDeleter::operator()(OutPlan* p) const { ::munmap(p, bytes); }
 
 void Sim::add_observer(StepObserver* observer) {
   MR_REQUIRE(observer != nullptr);
@@ -69,7 +65,6 @@ void Sim::set_fault_schedule(FaultSchedule schedule) {
   const std::string error = validate_fault_schedule(schedule, *topo_);
   MR_REQUIRE_MSG(error.empty(), error);
   fault_schedule_ = std::move(schedule);
-  context_id_ = next_context_id();
   fault_epoch_ = -1;
   faults_active_ = false;
 }

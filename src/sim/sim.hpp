@@ -25,8 +25,8 @@
 // the reference engine recomputes from the mesh on every call.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <vector>
@@ -58,11 +58,6 @@ class Sim {
   const Topology& topology() const { return *topo_; }
   int queue_capacity() const { return queue_capacity_; }
   QueueLayout queue_layout() const { return layout_; }
-  /// Process-unique id of this Sim's node-constant configuration
-  /// (topology, k, layout, fault schedule): drawn from a global counter at
-  /// construction and again by set_fault_schedule, so a cache keyed on it
-  /// (DxAlgorithm's per-step context) never outlives what it caches.
-  std::uint64_t context_id() const { return context_id_; }
 
   // --- observation -------------------------------------------------------
   /// Registers an observer: one on_step callback per executed step, in
@@ -239,14 +234,14 @@ class Sim {
 
   /// Engine's per-node out-plan cache (Algorithm::plan_out_reads_queue_only):
   /// the last validated plan of each node, OutPlan::stale() when the node's
-  /// queue changed since. A zero-filled allocation (calloc), so the pages of
-  /// nodes that never hold a packet are never written; null while plan
-  /// reuse is off.
-  struct FreeDeleter {
-    void operator()(void* p) const { std::free(p); }
+  /// queue changed since. Fresh zero pages from an anonymous mapping (see
+  /// Engine::reset_out_plans), so the pages of nodes that never hold a
+  /// packet are never written; null while plan reuse is off.
+  struct UnmapDeleter {
+    std::size_t bytes;  ///< length of the mapping
+    void operator()(OutPlan* p) const;
   };
-  std::unique_ptr<OutPlan[], FreeDeleter> out_plans_;
-  std::uint64_t context_id_;
+  std::unique_ptr<OutPlan[], UnmapDeleter> out_plans_;
 };
 
 }  // namespace mr
