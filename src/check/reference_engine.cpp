@@ -265,10 +265,9 @@ bool ReferenceEngine::step_once() {
     std::size_t j = i;
     while (j < offers.size() && offers[j].to == offers[i].to) ++j;
     const std::span<const Offer> group(offers.data() + i, j - i);
+    MR_REQUIRE(group.size() <= kNumDirs);
     InPlan in_plan;
-    in_plan.reset(group.size());
     algorithm_.plan_in(*this, offers[i].to, group, in_plan);
-    MR_REQUIRE(in_plan.accept.size() == group.size());
     for (std::size_t g = 0; g < group.size(); ++g)
       if (in_plan.accept[g]) accepted.push_back(group[g]);
     i = j;

@@ -351,11 +351,11 @@ void FastRouteAlgorithm::plan_out(Sim& e, NodeId u, OutPlan& plan) {
   }
 }
 
-void FastRouteAlgorithm::plan_in(Sim&, NodeId, std::span<const Offer> offers,
+void FastRouteAlgorithm::plan_in(Sim&, NodeId, std::span<const Offer>,
                                  InPlan& plan) {
   // All refusal logic is sender-side (a node can observe its neighbour's
   // staging occupancy); the engine still validates the Lemma 28 capacity.
-  plan.accept.assign(offers.size(), true);
+  plan.accept.fill(true);
 }
 
 void FastRouteAlgorithm::plan_march(Sim& e, NodeId u, OutPlan& plan,

@@ -36,10 +36,11 @@ void DxAlgorithm::plan_out(Sim& e, NodeId u, OutPlan& plan) {
 void DxAlgorithm::plan_in(Sim& e, NodeId v, std::span<const Offer> offers,
                           InPlan& plan) {
   NodeCtx ctx(e, v, e.node_state(v), false);
-  dx_offers_.clear();
-  for (const Offer& o : offers)
-    dx_offers_.push_back(DxOffer{o.packet, o.profitable_from_sender, o.dir});
-  dx_plan_in(ctx, std::span<const DxOffer>(dx_offers_), plan);
+  for (std::size_t i = 0; i < offers.size(); ++i)
+    dx_offers_[i] = DxOffer{offers[i].packet, offers[i].profitable_from_sender,
+                            offers[i].dir};
+  dx_plan_in(ctx, std::span<const DxOffer>(dx_offers_.data(), offers.size()),
+             plan);
 }
 
 void DxAlgorithm::update_state(Sim& e, NodeId v) {

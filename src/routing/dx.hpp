@@ -47,6 +47,7 @@
 // exchange-equivariance.
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -216,7 +217,7 @@ class DxAlgorithm : public Algorithm {
   PlanOut plan_out_;
   // scratch, reused across callbacks
   std::vector<PacketDxView> views_;
-  std::vector<DxOffer> dx_offers_;
+  std::array<DxOffer, kNumDirs> dx_offers_;  ///< at most one per inlink
 };
 
 }  // namespace mr

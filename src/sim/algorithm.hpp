@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "core/types.hpp"
 #include "sim/packet.hpp"
@@ -55,10 +54,12 @@ struct Offer {
   DirMask profitable_from_sender = 0;
 };
 
-/// Inqueue decision: accept[i] answers offers[i].
+/// Inqueue decision: accept[i] answers offers[i]. A node receives at most
+/// one offer per inlink, so a fixed array covers every group; entries past
+/// the group's size are ignored. Resetting it allocates nothing.
 struct InPlan {
-  std::vector<bool> accept;
-  void reset(std::size_t n) { accept.assign(n, false); }
+  std::array<bool, kNumDirs> accept{};
+  void reset() { accept.fill(false); }
 };
 
 class Algorithm {

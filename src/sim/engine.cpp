@@ -144,7 +144,6 @@ PacketId Engine::pump_packet(NodeId source, NodeId dest, Step injected_at) {
                      << injections_.back().first);
   const PacketId id = register_packet(source, dest, injected_at);
   injections_.emplace_back(injected_at, id);
-  packet_scheduled_.push_back(0);
   return id;
 }
 
@@ -273,12 +272,28 @@ void Engine::inject_band(Shard& sh, bool observed) {
       sh.sources_next.push_back(slot);
   }
   sh.sources.swap(sh.sources_next);
-  // Merge the newly activated nodes into the sorted prefix.
-  const auto mid =
-      sh.active.begin() + static_cast<std::ptrdiff_t>(sh.active_sorted);
-  std::sort(mid, sh.active.end());
-  std::inplace_merge(sh.active.begin(), mid, sh.active.end());
-  sh.active_sorted = sh.active.size();
+  merge_active(sh);
+}
+
+void Engine::merge_active(Shard& sh) {
+  std::vector<NodeId>& a = sh.active;
+  const std::size_t mid = sh.active_sorted;
+  sh.active_sorted = a.size();
+  if (mid == a.size()) return;
+  const auto tail = a.begin() + static_cast<std::ptrdiff_t>(mid);
+  std::sort(tail, a.end());
+  if (mid == 0 || a[mid - 1] < a[mid]) return;
+  // Merge from the back: the tail moves out to the band's scratch and the
+  // prefix entries above its first element shift up behind it. The
+  // scratch holds only this step's activations, and a write never passes
+  // an unread prefix entry.
+  sh.active_tail.assign(tail, a.end());
+  std::size_t i = mid;
+  std::size_t j = sh.active_tail.size();
+  std::size_t k = a.size();
+  while (j > 0)
+    a[--k] = i > 0 && a[i - 1] > sh.active_tail[j - 1] ? a[--i]
+                                                        : sh.active_tail[--j];
 }
 
 std::uint32_t Engine::acquire_waiting_source(Shard& sh, NodeId source) {
@@ -485,7 +500,6 @@ void Engine::prepare() {
   prepared_ = true;
   std::stable_sort(injections_.begin(), injections_.end());
   step_ = 0;
-  packet_scheduled_.assign(packets_.size(), 0);
   const bool observed = !observers_.empty();
   stage_injections();
   for (Shard& sh : shards_) inject_band(sh, observed);
@@ -536,8 +550,9 @@ void Engine::reset_out_plans() {
 }
 
 void Engine::validate_out_plan(NodeId u, const OutPlan& plan) {
-  for (Dir d : kAllDirs) {
-    const PacketId p = plan.scheduled(d);
+  for (int di = 0; di < kNumDirs; ++di) {
+    const Dir d = kAllDirs[di];
+    const PacketId p = plan.out[static_cast<std::size_t>(di)];
     if (p == kInvalidPacket) continue;
     MR_REQUIRE_MSG(p >= 0 && static_cast<std::size_t>(p) < packets_.size(),
                    "scheduled unknown packet");
@@ -545,9 +560,11 @@ void Engine::validate_out_plan(NodeId u, const OutPlan& plan) {
     MR_REQUIRE_MSG(pk.location == u,
                    "node " << u << " scheduled packet " << p
                            << " which is at node " << pk.location);
-    MR_REQUIRE_MSG(!packet_scheduled_[p],
-                   "packet " << p << " scheduled on two outlinks");
-    packet_scheduled_[p] = 1;
+    // The packet sits at u, so only u's plan can name it: a second outlink
+    // carrying it is one of this plan's earlier entries.
+    for (int dj = 0; dj < di; ++dj)
+      MR_REQUIRE_MSG(plan.out[static_cast<std::size_t>(dj)] != p,
+                     "packet " << p << " scheduled on two outlinks");
     MR_REQUIRE_MSG(neighbor_of(u, d) != kInvalidNode,
                    "node " << u << " scheduled packet off the mesh edge");
     if (enforce_minimal_) {
@@ -641,9 +658,6 @@ bool Engine::step_once() {
         sh.moves.push_back(ScheduledMove{p, u, neighbor_of(u, d), d});
       }
     }
-    // Clear the double-schedule flags set by validate_out_plan: exactly the
-    // scheduled packets, so this is O(moves) instead of O(all packets).
-    for (const ScheduledMove& m : sh.moves) packet_scheduled_[m.packet] = 0;
     // Reroute-or-stall: moves over links a fault took down are dropped (the
     // packet stays queued and is re-planned next step on the masked mask).
     // All of a band's moves originate at nodes it owns, so the per-band
@@ -728,9 +742,9 @@ bool Engine::step_once() {
         if (head[d] < in[d]->size() && (*in[d])[head[d]].to == v)
           sh.group.push_back((*in[d])[head[d]++]);
       }
-      sh.in_plan.reset(sh.group.size());
+      MR_REQUIRE(sh.group.size() <= kNumDirs);
+      sh.in_plan.reset();
       alg.plan_in(*this, v, std::span<const Offer>(sh.group), sh.in_plan);
-      MR_REQUIRE(sh.in_plan.accept.size() == sh.group.size());
       for (std::size_t g = 0; g < sh.group.size(); ++g) {
         if (!sh.in_plan.accept[g]) continue;
         const Offer& o = sh.group[g];
@@ -790,28 +804,14 @@ bool Engine::step_once() {
 
   // ---- (e) state updates + active-list compaction. update_state runs in
   // ascending NodeId over every node that held, sent or received a packet
-  // this step: the sorted pre-step active prefix plus the nodes activated
-  // by transmissions (the appended tail, sorted here). A drained node
-  // stays in the prefix until compaction, so senders are covered.
+  // this step: the sorted pre-step active prefix merged with the nodes
+  // activated by transmissions (the appended tail). A drained node stays
+  // in the list until compaction, so senders are covered.
   run_shards([&](std::size_t si) {
     Shard& sh = shards_[si];
     Algorithm& alg = *shard_algorithms_[si];
-    const std::size_t mid = sh.active_sorted;
-    const std::size_t end = sh.active.size();
-    std::sort(sh.active.begin() + static_cast<std::ptrdiff_t>(mid),
-              sh.active.end());
-    std::size_t i = 0, j = mid;
-    while (i < mid || j < end) {
-      NodeId v;
-      if (j >= end || (i < mid && sh.active[i] < sh.active[j]))
-        v = sh.active[i++];
-      else
-        v = sh.active[j++];
-      alg.update_state(*this, v);
-    }
-    std::inplace_merge(sh.active.begin(),
-                       sh.active.begin() + static_cast<std::ptrdiff_t>(mid),
-                       sh.active.end());
+    merge_active(sh);
+    for (NodeId v : sh.active) alg.update_state(*this, v);
     sh.active.erase(std::remove_if(sh.active.begin(), sh.active.end(),
                                    [&](NodeId u) {
                                      if (node_packets_.empty(u)) {

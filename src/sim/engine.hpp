@@ -6,7 +6,9 @@
 // pluggable Algorithm. It validates the model's invariants at runtime:
 //   * queue occupancy never exceeds k (per queue for the per-inlink layout),
 //   * minimal algorithms only ever move packets along profitable outlinks,
-//   * at most one packet is scheduled per outlink and accepted per inlink.
+//   * at most one packet is scheduled per outlink and accepted per inlink,
+//   * a packet is scheduled on at most one outlink (checked within its
+//     node's plan: the plan may name only packets queued at the node).
 // Violations throw mr::InvariantViolation rather than silently corrupting
 // the run.
 //
@@ -34,15 +36,17 @@
 // can. Queue occupancy is maintained as incremental counters,
 // packets carry their queue-slot index and cached profitable mask, each
 // band's active-node list stays sorted by merging newly added entries
-// instead of re-sorting, each waiting source keeps its packets in an id-
-// ordered FIFO with a count per queue so a source none of whose queues
-// has room is passed over in O(1), and offers are grouped by receiving
-// node via a 4-way merge of the per-direction move streams instead of a
-// comparison sort. The outqueue policy itself runs only on the active
-// nodes whose queue changed since their last plan when the router
-// declares Algorithm::plan_out_reads_queue_only() and no fault schedule
-// is installed; every other active node re-emits its cached, already
-// validated plan (DESIGN.md §9).
+// through a per-band scratch vector instead of re-sorting, each waiting
+// source keeps its packets in an id-ordered FIFO with a count per queue so
+// a source none of whose queues has room is passed over in O(1), and
+// offers are grouped by receiving node via a 4-way merge of the
+// per-direction move streams instead of a comparison sort; a node's offers
+// fit the fixed four-entry InPlan, so the step loop allocates nothing for
+// inqueue plans or active-list merges. The outqueue policy itself runs
+// only on the active nodes whose queue changed since their last plan when
+// the router declares Algorithm::plan_out_reads_queue_only() and no fault
+// schedule is installed; every other active node re-emits its cached,
+// already validated plan (DESIGN.md §9).
 //
 // Observation is digest-based: the engine batches each step's moves,
 // deliveries and counters into one StepDigest and dispatches a single
@@ -300,9 +304,11 @@ class Engine : public Sim {
     // Nodes of the band holding >=1 packet. The first active_sorted
     // entries are sorted ascending; place_packet appends newly activated
     // nodes past that prefix and the injection and update phases merge
-    // them in. Idle nodes cost nothing per step.
+    // them in (merge_active, which copies the tail out to active_tail).
+    // Idle nodes cost nothing per step.
     std::vector<NodeId> active;
     std::size_t active_sorted = 0;
+    std::vector<NodeId> active_tail;
 
     // Injection: records of the packets the coordinator staged as newly
     // due this step, and the band's sources with packets outside the
@@ -360,6 +366,9 @@ class Engine : public Sim {
   void place_packet(PacketId p, NodeId node, QueueTag tag,
                     std::vector<NodeId>& active_out);
   void remove_from_node(PacketId p);
+  /// Checks a freshly made plan: every named packet exists, sits at u and
+  /// is named once, every outlink exists, and each move is minimal (or
+  /// within the §5 stray bound). Throws InvariantViolation.
   void validate_out_plan(NodeId u, const OutPlan& plan);
   /// When the algorithm declares plan_out_reads_queue_only() and no fault
   /// schedule is installed: allocates the out-plan cache zero-filled (every
@@ -398,6 +407,11 @@ class Engine : public Sim {
   /// their sources' FIFOs, admits every waiting packet whose source queue
   /// has room (per source in id order) and merges the band's active list.
   void inject_band(Shard& sh, bool observed);
+  /// Sorts the band's appended active tail and merges it into the sorted
+  /// prefix in place, from the back, through a scratch copy of the tail
+  /// (no allocation once the scratch has grown to the largest tail),
+  /// leaving the whole list sorted.
+  static void merge_active(Shard& sh);
   /// Delivers `w` if it is a self-delivery, or places it in its queue at
   /// the (available) source `s` if that queue has room; false if it must
   /// wait outside the network.
@@ -493,7 +507,6 @@ class Engine : public Sim {
   // lazily inside const active_nodes(). Unused with one band.
   mutable std::vector<NodeId> active_;
   std::vector<std::uint8_t> is_active_;
-  std::vector<std::uint8_t> packet_scheduled_;
 
   // Digest scratch (valid during observer dispatch only). digest_moves_ is
   // assembled after phase (e) — delivering hops first, then accepted hops,

@@ -231,7 +231,6 @@ void Engine::restore(const EngineSnapshot& snap) {
     sh.waiting = static_cast<std::int64_t>(sh.due.size());
     sh.due.clear();
   }
-  packet_scheduled_.assign(packets_.size(), 0);
 
   // Fault availability is derived state: snapshots carry no fault fields,
   // the installed schedule is simply re-applied for the restored step.

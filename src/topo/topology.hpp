@@ -66,9 +66,14 @@ class Topology {
     return id_of(Coord{col, row});
   }
 
+  /// Row and column of `id`. The row is `id / width` computed as a
+  /// multiply and a shift by constants the constructor derives from the
+  /// width (exact for every id below 2^31), so a lookup costs no division.
   Coord coord_of(NodeId id) const {
     MR_REQUIRE(id >= 0 && id < num_nodes());
-    return Coord{id % width_, id / width_};
+    const auto row = static_cast<std::int32_t>(
+        (static_cast<std::uint64_t>(id) * row_mul_) >> row_shift_);
+    return Coord{id - row * width_, row};
   }
 
   /// All node ids, row-major (south row first).
@@ -190,6 +195,9 @@ class Topology {
   std::int32_t width_;
   std::int32_t height_;
   bool wraps_;
+  /// coord_of's reciprocal of the width: row = (id * row_mul_) >> row_shift_.
+  std::uint64_t row_mul_;
+  std::uint32_t row_shift_;
 };
 
 }  // namespace mr

@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "check/reference_engine.hpp"
 #include "routing/dimension_order.hpp"
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "topo/mesh.hpp"
+#include "traffic/source.hpp"
 
 namespace mr {
 namespace {
@@ -96,9 +106,9 @@ TEST(Engine, MinimalityEnforced) {
         }
       }
     }
-    void plan_in(Sim&, NodeId, std::span<const Offer> offers,
+    void plan_in(Sim&, NodeId, std::span<const Offer>,
                  InPlan& plan) override {
-      plan.reset(offers.size());
+      plan.reset();
     }
   };
   const Mesh m = Mesh::square(4);
@@ -253,6 +263,183 @@ TEST(Engine, MetricsLatencyMatchesDeliveredAt) {
   e.run(100);
   EXPECT_EQ(metrics.latency().max(), 7);
   EXPECT_EQ(metrics.latency().total(), 1);
+}
+
+/// Makes one malformed out-plan at the node holding packet 0 and plans
+/// nothing anywhere else.
+class MalformedPlanRouter : public Algorithm {
+ public:
+  enum class Fault { TwoOutlinks, PacketElsewhere, OffMeshEdge };
+  explicit MalformedPlanRouter(Fault fault) : fault_(fault) {}
+  std::string name() const override { return "malformed-plan"; }
+  void plan_out(Sim& e, NodeId u, OutPlan& plan) override {
+    const std::span<const PacketId> here = e.packets_at(u);
+    if (here.empty() || here[0] != 0) return;
+    switch (fault_) {
+      case Fault::TwoOutlinks:  // both outlinks are profitable
+        plan.schedule(Dir::North, 0);
+        plan.schedule(Dir::East, 0);
+        break;
+      case Fault::PacketElsewhere:
+        plan.schedule(Dir::North, 1);
+        break;
+      case Fault::OffMeshEdge:  // u is on the west edge
+        plan.schedule(Dir::West, 0);
+        break;
+    }
+  }
+  void plan_in(Sim&, NodeId, std::span<const Offer>, InPlan&) override {}
+
+ private:
+  Fault fault_;
+};
+
+/// Expects `step` to throw an InvariantViolation whose text contains
+/// `text`.
+void expect_rejected(const std::function<void()>& step,
+                     const std::string& text) {
+  try {
+    step();
+  } catch (const InvariantViolation& ex) {
+    EXPECT_NE(std::string(ex.what()).find(text), std::string::npos)
+        << ex.what();
+    return;
+  }
+  ADD_FAILURE() << "no InvariantViolation";
+}
+
+TEST(Engine, MalformedOutPlansAreRejected) {
+  // Packet 0 sits at (0,1) on the west edge, bound north-east; packet 1 at
+  // (4,4), two bands away when the mesh is cut into three. Each engine
+  // must reject the plan in phase (a) of step 1 with the same text.
+  using Fault = MalformedPlanRouter::Fault;
+  const Mesh m = Mesh::square(6);
+  const NodeId a = m.id_of(0, 1);
+  const NodeId b = m.id_of(4, 4);
+  const std::vector<std::pair<Fault, std::string>> cases = {
+      {Fault::TwoOutlinks, "packet 0 scheduled on two outlinks"},
+      {Fault::PacketElsewhere,
+       "node " + std::to_string(a) + " scheduled packet 1 which is at node " +
+           std::to_string(b)},
+      {Fault::OffMeshEdge,
+       "node " + std::to_string(a) + " scheduled packet off the mesh edge"}};
+  for (const auto& [fault, text] : cases) {
+    SCOPED_TRACE(text);
+    const auto add = [&](auto& e) {
+      e.add_packet(a, m.id_of(3, 4));
+      e.add_packet(b, m.id_of(1, 0));
+      e.prepare();
+    };
+    MalformedPlanRouter algo(fault);
+    Engine one(m, cfg(1), algo);
+    add(one);
+    expect_rejected([&] { one.step_once(); }, text);
+
+    Engine::Config banded = cfg(1);
+    banded.shards = 3;
+    banded.threads = 2;
+    Engine three(m, banded, [fault] {
+      return std::make_unique<MalformedPlanRouter>(fault);
+    });
+    ASSERT_EQ(three.shard_count(), 3);
+    ASSERT_EQ(three.thread_count(), 2);
+    add(three);
+    expect_rejected([&] { three.step_once(); }, text);
+
+    ReferenceEngine ref(m, 1, kDefaultStallLimit, algo);
+    add(ref);
+    expect_rejected([&] { ref.step_once(); }, text);
+  }
+}
+
+/// Forwards to a registry router and records each step's update_state
+/// calls, in call order.
+class UpdateProbe : public Algorithm {
+ public:
+  explicit UpdateProbe(const std::string& router)
+      : inner_(make_algorithm(router)) {}
+  std::string name() const override { return inner_->name(); }
+  QueueLayout queue_layout() const override { return inner_->queue_layout(); }
+  bool minimal() const override { return inner_->minimal(); }
+  int max_stray() const override { return inner_->max_stray(); }
+  bool plan_out_reads_queue_only() const override {
+    return inner_->plan_out_reads_queue_only();
+  }
+  void init(Sim& e) override { inner_->init(e); }
+  void plan_out(Sim& e, NodeId u, OutPlan& plan) override {
+    inner_->plan_out(e, u, plan);
+  }
+  void plan_in(Sim& e, NodeId v, std::span<const Offer> offers,
+               InPlan& plan) override {
+    inner_->plan_in(e, v, offers, plan);
+  }
+  void update_state(Sim& e, NodeId v) override {
+    visited.push_back(v);
+    inner_->update_state(e, v);
+  }
+
+  std::vector<NodeId> visited;
+
+ private:
+  std::unique_ptr<Algorithm> inner_;
+};
+
+TEST(Engine, UpdateVisitsMatchReference) {
+  // Phase (e) visits every node that held, sent or received a packet, once
+  // each, ascending: the merged active list on one band and on three must
+  // give the reference's full-scan order on every step. Open-loop traffic
+  // at 0.9 per node per step saturates an 11x11 network, so nodes activate
+  // and drain on every step.
+  for (const bool torus : {false, true}) {
+    const Mesh mesh = Mesh::square(11, torus);
+    TrafficSpec spec;
+    spec.rate = 0.9;
+    spec.seed = 41;
+    BernoulliSource source(mesh, spec);
+    const Workload traffic = materialize_traffic(source, 1, 60);
+    for (const std::string router :
+         {"dimension-order", "bounded-dimension-order"}) {
+      SCOPED_TRACE(router + (torus ? " torus" : " mesh"));
+      constexpr int k = 2;
+      constexpr Step kStallLimit = 16;
+      UpdateProbe ref_probe(router);
+      ReferenceEngine ref(mesh, k, kStallLimit, ref_probe);
+      std::vector<std::unique_ptr<UpdateProbe>> probes;
+      std::vector<std::unique_ptr<Engine>> engines;
+      for (const int shards : {1, 3}) {
+        probes.push_back(std::make_unique<UpdateProbe>(router));
+        Engine::Config c = cfg(k);
+        c.stall_limit = kStallLimit;
+        c.shards = shards;
+        engines.push_back(std::make_unique<Engine>(mesh, c, *probes.back()));
+      }
+      for (const Demand& d : traffic) {
+        ref.add_packet(d.source, d.dest, d.injected_at);
+        for (auto& e : engines) e->add_packet(d.source, d.dest, d.injected_at);
+      }
+      ref.prepare();
+      for (auto& e : engines) e->prepare();
+      std::int64_t visits = 0;
+      while (!ref.all_delivered() && !ref.stalled() && ref.step() < 2000) {
+        ref_probe.visited.clear();
+        for (auto& p : probes) p->visited.clear();
+        ref.step_once();
+        for (auto& e : engines) e->step_once();
+        const std::vector<NodeId>& want = ref_probe.visited;
+        ASSERT_TRUE(std::is_sorted(want.begin(), want.end()));
+        ASSERT_EQ(std::adjacent_find(want.begin(), want.end()), want.end());
+        for (const auto& p : probes)
+          ASSERT_EQ(p->visited, want) << "step " << ref.step();
+        visits += static_cast<std::int64_t>(want.size());
+      }
+      for (auto& e : engines) {
+        EXPECT_EQ(e->step(), ref.step());
+        EXPECT_EQ(e->fingerprint(), ref.fingerprint());
+      }
+      // The traffic kept most of the mesh busy.
+      EXPECT_GT(visits, 121 * 60);
+    }
+  }
 }
 
 }  // namespace

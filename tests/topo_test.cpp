@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +17,64 @@ TEST(Mesh, IdCoordRoundTrip) {
   const Mesh m(7, 5);
   for (NodeId id = 0; id < m.num_nodes(); ++id)
     EXPECT_EQ(m.id_of(m.coord_of(id)), id);
+}
+
+/// True when coord_of(id) is {id % width, id / width} and id_of maps it
+/// back to id.
+bool plain_coord(const Topology& t, NodeId id) {
+  const Coord c = t.coord_of(id);
+  return c.col == id % t.width() && c.row == id / t.width() &&
+         t.id_of(c) == id;
+}
+
+TEST(TopologyKernel, CoordOfMatchesPlainDivision) {
+  // coord_of divides by the width with a multiply and a shift; every id of
+  // every width up to 300 must agree with `/` and `%`.
+  for (std::int32_t w = 1; w <= 300; ++w)
+    for (const std::int32_t h : {1, 7}) {
+      const Mesh m(w, h);
+      for (NodeId id = 0; id < m.num_nodes(); ++id)
+        ASSERT_TRUE(plain_coord(m, id)) << w << "x" << h << " id " << id;
+    }
+}
+
+TEST(TopologyKernel, CoordOfMatchesPlainDivisionNearTwoToThe31) {
+  // Shapes whose node count is close to 2^31, where the multiply-shift has
+  // the least slack: the first and last ids, both sides of sampled row
+  // boundaries, and pseudo-random ids.
+  constexpr std::int32_t kMax = 2147483647;
+  std::vector<std::unique_ptr<Topology>> shapes;
+  for (const auto& [w, h] : std::vector<std::pair<std::int32_t, std::int32_t>>{
+           {46340, 46340}, {46341, 46340}, {65535, 32768}, {32768, 65535},
+           {kMax, 1}, {1, kMax}}) {
+    shapes.push_back(std::make_unique<Mesh>(w, h));
+    shapes.push_back(std::make_unique<Mesh>(w, h, /*torus=*/true));
+    shapes.push_back(std::make_unique<CMesh>(w, h, 4));
+  }
+  for (const auto& t : shapes) {
+    const std::int64_t n = t->num_nodes();
+    const std::int64_t w = t->width();
+    std::vector<std::int64_t> ids;
+    for (std::int64_t i = 0; i < 4096; ++i) {
+      ids.push_back(i);
+      ids.push_back(n - 1 - i);
+    }
+    for (std::int64_t row = 1; row < t->height(); row += 997)
+      for (const std::int64_t off : {-1, 0, 1})
+        ids.push_back(row * w + off);
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (int i = 0; i < 100000; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      ids.push_back(static_cast<std::int64_t>((x >> 33) %
+                                              static_cast<std::uint64_t>(n)));
+    }
+    for (const std::int64_t id : ids) {
+      if (id < 0 || id >= n) continue;
+      ASSERT_TRUE(plain_coord(*t, static_cast<NodeId>(id)))
+          << t->name() << " " << t->width() << "x" << t->height() << " id "
+          << id;
+    }
+  }
 }
 
 TEST(Mesh, NeighborsOnEdges) {

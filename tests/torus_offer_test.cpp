@@ -7,15 +7,20 @@
 // exactly the node its offered link points at — including wrap hops, which
 // the workload is chosen to force. The second pins hard-coded golden
 // fingerprints for fixed torus runs so any reordering of wrap-link offer
-// handling shows up as a bit-level diff.
+// handling shows up as a bit-level diff. The third runs a torus two
+// columns wide, where a node's east and west outlinks lead to the same
+// neighbour, which then gets two offers from one sender in one step.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <cstdio>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "check/reference_engine.hpp"
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
 #include "topo/mesh.hpp"
@@ -109,6 +114,82 @@ TEST(TorusOffers, FingerprintsMatchGolden) {
     }
     EXPECT_EQ(fp, g.fingerprint) << g.router;
   }
+}
+
+/// Greedy minimal router: each queued packet, in queue order, takes the
+/// first free profitable outlink in E, W, N, S order; every offer is
+/// accepted (k is large enough for the test's load).
+class GreedyEastWest final : public Algorithm {
+ public:
+  std::string name() const override { return "greedy-east-west"; }
+  void plan_out(Sim& e, NodeId u, OutPlan& plan) override {
+    for (const PacketId p : e.packets_at(u))
+      for (const Dir d : {Dir::East, Dir::West, Dir::North, Dir::South})
+        if (mask_has(e.profitable_mask(p), d) &&
+            plan.scheduled(d) == kInvalidPacket) {
+          plan.schedule(d, p);
+          break;
+        }
+  }
+  void plan_in(Sim&, NodeId, std::span<const Offer> offers,
+               InPlan& plan) override {
+    for (std::size_t i = 0; i < offers.size(); ++i) plan.accept[i] = true;
+  }
+};
+
+/// Counts accepted hops that share their sender and receiver with another
+/// hop of the same step.
+class SameNeighbourOffers final : public StepObserver {
+ public:
+  void on_step(const Sim&, const StepDigest& d) override {
+    for (const MoveRecord& a : d.moves)
+      for (const MoveRecord& b : d.moves)
+        if (!a.delivered && !b.delivered && a.packet < b.packet &&
+            a.from == b.from && a.to == b.to)
+          ++pairs;
+  }
+  std::int64_t pairs = 0;
+};
+
+TEST(TorusOffers, OneNeighbourOffersOnTwoInlinks) {
+  // On a 2x5 torus column 1 is both the east and the west neighbour of
+  // column 0, and a packet one column over has both directions
+  // profitable. Two packets at each node of column 0, bound two rows up
+  // in column 1, leave on E and W together and reach the same neighbour on
+  // two inlinks. The engine on one band and on three must stay in lockstep
+  // with the reference.
+  const Mesh mesh(2, 5, /*torus=*/true);
+  constexpr int k = 4;
+  GreedyEastWest algo;
+  ReferenceEngine ref(mesh, k, kDefaultStallLimit, algo);
+  std::vector<std::unique_ptr<Engine>> engines;
+  SameNeighbourOffers pairs;
+  for (const int shards : {1, 3}) {
+    Engine::Config config;
+    config.queue_capacity = k;
+    config.shards = shards;
+    engines.push_back(std::make_unique<Engine>(mesh, config, algo));
+  }
+  engines.front()->add_observer(&pairs);
+  for (std::int32_t r = 0; r < mesh.height(); ++r)
+    for (int copy = 0; copy < 2; ++copy) {
+      const NodeId s = mesh.id_of(0, r);
+      const NodeId t = mesh.id_of(1, (r + 2) % mesh.height());
+      ref.add_packet(s, t);
+      for (auto& e : engines) e->add_packet(s, t);
+    }
+  ref.prepare();
+  for (auto& e : engines) e->prepare();
+  while (!ref.all_delivered() && ref.step() < 100) {
+    ref.step_once();
+    for (auto& e : engines) {
+      e->step_once();
+      ASSERT_EQ(e->fingerprint(), ref.fingerprint()) << "step " << ref.step();
+    }
+  }
+  EXPECT_TRUE(ref.all_delivered());
+  for (auto& e : engines) EXPECT_TRUE(e->all_delivered());
+  EXPECT_EQ(pairs.pairs, mesh.height());
 }
 
 }  // namespace
