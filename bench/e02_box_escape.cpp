@@ -18,7 +18,7 @@
 namespace mr::scenarios {
 namespace {
 
-struct EscapeTally : Observer {
+struct EscapeTally : StepObserver {
   const MainGeometry* geo = nullptr;
   std::int32_t dn = 0;
   std::vector<std::int64_t> in_window_n, in_window_e, early, late;
@@ -37,13 +37,19 @@ struct EscapeTally : Observer {
     step_e.assign(classes, 0);
   }
 
-  void on_move(const Sim& e, const Packet& pk, NodeId from,
-               NodeId to) override {
+  void on_step(const Sim& e, const StepDigest& d) override {
+    for (const MoveRecord& m : d.moves) tally(e, m);
+    std::fill(step_n.begin(), step_n.end(), 0);
+    std::fill(step_e.begin(), step_e.end(), 0);
+  }
+
+  void tally(const Sim& e, const MoveRecord& m) {
+    const Packet& pk = e.packet(m.packet);
     const PacketClass cls = geo->classify(e.mesh().coord_of(pk.source),
                                           e.mesh().coord_of(pk.dest));
     if (cls.type == ClassType::None) return;
-    if (!geo->in_box(e.mesh().coord_of(from), cls.i) ||
-        geo->in_box(e.mesh().coord_of(to), cls.i))
+    if (!geo->in_box(e.mesh().coord_of(m.from), cls.i) ||
+        geo->in_box(e.mesh().coord_of(m.to), cls.i))
       return;
     const Step t = e.step();
     if (t <= (cls.i - 1) * dn) {
@@ -55,11 +61,6 @@ struct EscapeTally : Observer {
     } else {
       ++late[cls.i];
     }
-  }
-
-  void on_step_end(const Sim&) override {
-    std::fill(step_n.begin(), step_n.end(), 0);
-    std::fill(step_e.begin(), step_e.end(), 0);
   }
 };
 

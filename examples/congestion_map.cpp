@@ -16,9 +16,9 @@ namespace {
 
 using namespace mr;
 
-struct PeakMap : Observer {
+struct PeakMap : StepObserver {
   std::vector<int> peak;
-  void on_step_end(const Sim& e) override {
+  void on_step(const Sim& e, const StepDigest&) override {
     if (peak.empty()) peak.assign(e.mesh().num_nodes(), 0);
     for (NodeId u = 0; u < e.mesh().num_nodes(); ++u)
       peak[u] = std::max(peak[u], e.occupancy(u));

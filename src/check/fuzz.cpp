@@ -1,9 +1,12 @@
 #include "check/fuzz.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "check/oracles.hpp"
 #include "check/reference_engine.hpp"
@@ -30,6 +33,31 @@ constexpr Step kFuzzStallLimit = 64;
 
 bool has_traffic(const FuzzCase& c) {
   return c.traffic != "none" && c.tsteps > 0;
+}
+
+/// Parses all of `text` as one number of type T (decimal for integers).
+/// Rejects empty or trailing text, strto*'s ERANGE and integers outside
+/// T's range; leaves *out untouched on failure.
+template <typename T>
+bool parse_number(const std::string& text, T* out) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  T v{};
+  if constexpr (std::is_floating_point_v<T>) {
+    v = std::strtod(begin, &end);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    v = std::strtoull(begin, &end, 10);
+  } else {
+    const long long wide = std::strtoll(begin, &end, 10);
+    if (wide < std::numeric_limits<T>::min() ||
+        wide > std::numeric_limits<T>::max())
+      return false;
+    v = static_cast<T>(wide);
+  }
+  if (end == begin || *end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
 }
 
 /// The network a case routes on: the named registry topology ("" = mesh).
@@ -117,23 +145,23 @@ bool parse_fuzz_case(const std::string& spec, FuzzCase* out,
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
-    char* end = nullptr;
+    bool number_ok = true;
     if (key == "algo") {
       c.algorithm = value;
       saw_algo = true;
     } else if (key == "n") {
-      c.n = static_cast<std::int32_t>(std::strtol(value.c_str(), &end, 10));
+      number_ok = parse_number(value, &c.n);
     } else if (key == "torus") {
       // Legacy shim from pre-registry spec lines; normalised into topo.
       legacy_torus = value == "1" || value == "true";
     } else if (key == "topo") {
       c.topo = value;
     } else if (key == "k") {
-      c.k = static_cast<int>(std::strtol(value.c_str(), &end, 10));
+      number_ok = parse_number(value, &c.k);
     } else if (key == "budget") {
-      c.budget = std::strtoll(value.c_str(), &end, 10);
+      number_ok = parse_number(value, &c.budget);
     } else if (key == "ckpt") {
-      c.ckpt = std::strtoll(value.c_str(), &end, 10);
+      number_ok = parse_number(value, &c.ckpt);
     } else if (key == "lk") {
       LkSpec lk;
       std::string lerr;
@@ -145,11 +173,11 @@ bool parse_fuzz_case(const std::string& spec, FuzzCase* out,
     } else if (key == "traffic") {
       c.traffic = value;
     } else if (key == "rate") {
-      c.rate = std::strtod(value.c_str(), &end);
+      number_ok = parse_number(value, &c.rate);
     } else if (key == "tseed") {
-      c.tseed = std::strtoull(value.c_str(), &end, 10);
+      number_ok = parse_number(value, &c.tseed);
     } else if (key == "tsteps") {
-      c.tsteps = std::strtoll(value.c_str(), &end, 10);
+      number_ok = parse_number(value, &c.tsteps);
     } else if (key == "burst") {
       std::string berr;
       if (!parse_burst_spec(value, &c.burst, &berr)) {
@@ -163,28 +191,26 @@ bool parse_fuzz_case(const std::string& spec, FuzzCase* out,
         return false;
       }
     } else if (key == "shards") {
-      c.shards = static_cast<int>(std::strtol(value.c_str(), &end, 10));
+      number_ok = parse_number(value, &c.shards);
     } else if (key == "threads") {
-      c.threads = static_cast<int>(std::strtol(value.c_str(), &end, 10));
+      number_ok = parse_number(value, &c.threads);
     } else if (key == "demands") {
       saw_demands = true;
       std::istringstream ds(value);
       std::string item;
       while (std::getline(ds, item, ',')) {
         if (item.empty()) continue;
+        // source-dest[@step]
+        const std::size_t dash = item.find('-');
+        const std::size_t at = item.find('@');
+        const std::size_t dest_end = std::min(at, item.size());
         Demand d;
-        char* p = nullptr;
-        d.source =
-            static_cast<NodeId>(std::strtol(item.c_str(), &p, 10));
-        if (p == nullptr || *p != '-') {
-          if (error) *error = "malformed demand '" + item + "'";
-          return false;
-        }
-        d.dest = static_cast<NodeId>(std::strtol(p + 1, &p, 10));
-        if (p != nullptr && *p == '@') {
-          d.injected_at = std::strtoll(p + 1, &p, 10);
-        }
-        if (p == nullptr || *p != '\0') {
+        if (dash == std::string::npos || dash > dest_end ||
+            !parse_number(item.substr(0, dash), &d.source) ||
+            !parse_number(item.substr(dash + 1, dest_end - dash - 1),
+                          &d.dest) ||
+            (at != std::string::npos &&
+             !parse_number(item.substr(at + 1), &d.injected_at))) {
           if (error) *error = "malformed demand '" + item + "'";
           return false;
         }
@@ -194,7 +220,7 @@ bool parse_fuzz_case(const std::string& spec, FuzzCase* out,
       if (error) *error = "unknown key '" + key + "'";
       return false;
     }
-    if (end != nullptr && *end != '\0') {
+    if (!number_ok) {
       if (error) *error = "malformed value for '" + key + "'";
       return false;
     }
@@ -206,6 +232,11 @@ bool parse_fuzz_case(const std::string& spec, FuzzCase* out,
   if (legacy_torus && c.topo.empty()) c.topo = "torus";
   if (c.n < 2 || c.k < 1 || c.budget < 1) {
     if (error) *error = "n must be >= 2, k >= 1, budget >= 1";
+    return false;
+  }
+  // Node ids of the n x n grid must fit NodeId.
+  if (std::int64_t{c.n} * c.n > std::numeric_limits<NodeId>::max()) {
+    if (error) *error = "n=" + std::to_string(c.n) + " is too large";
     return false;
   }
   if (c.shards < 1 || c.threads < 1) {
@@ -230,12 +261,12 @@ bool parse_fuzz_case(const std::string& spec, FuzzCase* out,
       if (error) *error = "unknown traffic pattern '" + c.traffic + "'";
       return false;
     }
-    if (c.rate < 0.0 || c.rate > 1.0 || c.tsteps < 0) {
+    if (!(c.rate >= 0.0 && c.rate <= 1.0) || c.tsteps < 0) {
       if (error) *error = "traffic needs rate in [0,1] and tsteps >= 0";
       return false;
     }
   }
-  const NodeId nodes = c.n * c.n;
+  const NodeId nodes = c.n * c.n;  // fits: checked above
   for (const Demand& d : c.demands) {
     if (d.source < 0 || d.source >= nodes || d.dest < 0 || d.dest >= nodes ||
         d.injected_at < 0) {

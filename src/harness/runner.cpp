@@ -51,8 +51,8 @@ RunResult run_workload(const RunSpec& spec, const Workload& workload,
     }
   }
 
-  // The single topology resolution point: the legacy RunSpec::torus flag
-  // has already been normalised into a registry name.
+  // The single topology resolution point: spec.resolved_topology() is a
+  // registry name.
   TopoSpec ts = parse_topology_spec(spec.resolved_topology());
   ts.width = spec.width;
   ts.height = spec.height;

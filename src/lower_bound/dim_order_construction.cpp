@@ -75,21 +75,27 @@ class DimOrderRule : public ExchangeInterceptor<DimOrderRule> {
 ///    class occupies the N_i-column inside the sender band,
 ///  * escape discipline — at most one class-i packet leaves the i-box per
 ///    step, never before its window opens.
-class DimOrderChecker : public Observer {
+class DimOrderChecker : public StepObserver {
  public:
   DimOrderChecker(const DimOrderConstruction& geo, std::size_t class_count)
       : geo_(geo),
         class_count_(class_count),
         escapes_(static_cast<std::size_t>(geo.num_classes()) + 1, 0) {}
 
-  void on_move(const Sim& e, const Packet& pk, NodeId from,
-               NodeId to) override {
-    if (static_cast<std::size_t>(pk.id) >= class_count_) return;
+  void on_step(const Sim& e, const StepDigest& d) override {
+    for (const MoveRecord& m : d.moves) check_move(e, m);
+    check_step_end(e);
+  }
+
+ private:
+  void check_move(const Sim& e, const MoveRecord& m) {
+    if (static_cast<std::size_t>(m.packet) >= class_count_) return;
+    const Packet& pk = e.packet(m.packet);
     const std::int64_t i = geo_.classify(e.mesh().coord_of(pk.source),
                                          e.mesh().coord_of(pk.dest));
     if (i == 0) return;
-    const Coord f = e.mesh().coord_of(from);
-    const Coord t = e.mesh().coord_of(to);
+    const Coord f = e.mesh().coord_of(m.from);
+    const Coord t = e.mesh().coord_of(m.to);
     const bool left_box = (f.col <= geo_.line(i) && f.row < geo_.cn()) &&
                           !(t.col <= geo_.line(i) && t.row < geo_.cn());
     if (!left_box) return;
@@ -102,7 +108,7 @@ class DimOrderChecker : public Observer {
     }
   }
 
-  void on_step_end(const Sim& e) override {
+  void check_step_end(const Sim& e) {
     const Step t = e.step();
     const Step w = (t - 1) / geo_.dn();
     for (std::size_t id = 0; id < class_count_; ++id) {
@@ -131,7 +137,6 @@ class DimOrderChecker : public Observer {
     std::fill(escapes_.begin(), escapes_.end(), 0);
   }
 
- private:
   const DimOrderConstruction& geo_;
   std::size_t class_count_;
   std::vector<std::int64_t> escapes_;

@@ -130,7 +130,7 @@ bool row_order_holds(const Sim& e, const FarthestFirstConstruction& geo,
 ///    own column.
 ///  * Row order: row_order_holds, sampled every 16 steps and at the
 ///    certified step (a whole-band scan, too costly for every step).
-class FarthestFirstChecker : public Observer {
+class FarthestFirstChecker : public StepObserver {
  public:
   FarthestFirstChecker(const FarthestFirstConstruction& geo,
                        std::size_t class_count)
@@ -138,14 +138,22 @@ class FarthestFirstChecker : public Observer {
 
   bool row_order_ok() const { return row_order_ok_; }
 
-  void on_move(const Sim& e, const Packet& pk, NodeId from,
-               NodeId to) override {
-    if (static_cast<std::size_t>(pk.id) >= class_count_) return;
+  void on_step(const Sim& e, const StepDigest& d) override {
+    for (const MoveRecord& m : d.moves) check_move(e, m);
+    const Step t = e.step();
+    if (row_order_ok_ && (t % 16 == 0 || t == geo_.certified_steps()))
+      row_order_ok_ = row_order_holds(e, geo_, class_count_);
+  }
+
+ private:
+  void check_move(const Sim& e, const MoveRecord& m) const {
+    if (static_cast<std::size_t>(m.packet) >= class_count_) return;
+    const Packet& pk = e.packet(m.packet);
     const std::int64_t i = geo_.classify(e.mesh().coord_of(pk.source),
                                          e.mesh().coord_of(pk.dest));
     if (i == 0) return;
-    const Coord f = e.mesh().coord_of(from);
-    const Coord t = e.mesh().coord_of(to);
+    const Coord f = e.mesh().coord_of(m.from);
+    const Coord t = e.mesh().coord_of(m.to);
     const bool in_box_f = f.col <= geo_.line(i) && f.row < geo_.cn();
     const bool in_box_t = t.col <= geo_.line(i) && t.row < geo_.cn();
     if (!in_box_f || in_box_t) return;
@@ -156,13 +164,6 @@ class FarthestFirstChecker : public Observer {
                        << i << " left its box sideways at step " << e.step());
   }
 
-  void on_step_end(const Sim& e) override {
-    const Step t = e.step();
-    if (row_order_ok_ && (t % 16 == 0 || t == geo_.certified_steps()))
-      row_order_ok_ = row_order_holds(e, geo_, class_count_);
-  }
-
- private:
   const FarthestFirstConstruction& geo_;
   std::size_t class_count_;
   bool row_order_ok_ = true;

@@ -1,6 +1,6 @@
 #include "routing/registry.hpp"
 
-#include <cstdlib>
+#include <charconv>
 
 #include "core/assert.hpp"
 #include "fastroute/fastroute.hpp"
@@ -47,12 +47,17 @@ const std::vector<AlgorithmInfo>& algorithm_catalog() {
 
 AlgorithmSpec parse_algorithm_spec(const std::string& name) {
   AlgorithmSpec spec;
-  if (name.rfind("stray-", 0) == 0) {
-    spec.name = "stray";
-    spec.params.stray_bound = std::atoi(name.c_str() + 6);
-  } else {
-    spec.name = name;
-  }
+  spec.name = name;
+  if (name.rfind("stray-", 0) != 0) return spec;
+  // The whole suffix must be one decimal int; any other suffix leaves the
+  // name as given, which make_algorithm rejects as unknown.
+  const char* first = name.data() + 6;
+  const char* last = name.data() + name.size();
+  int bound = 0;
+  const auto [end, ec] = std::from_chars(first, last, bound);
+  if (ec != std::errc() || end != last) return spec;
+  spec.name = "stray";
+  spec.params.stray_bound = bound;
   return spec;
 }
 
@@ -72,10 +77,13 @@ std::unique_ptr<Algorithm> make_algorithm(const AlgorithmSpec& spec) {
   if (name == "fastroute-improved")
     return std::make_unique<FastRouteAlgorithm>(
         FastRouteAlgorithm::Options::improved());
-  if (name == "stray" || name.rfind("stray-", 0) == 0) {
-    const AlgorithmParams& p = name == "stray"
-                                   ? spec.params
-                                   : parse_algorithm_spec(name).params;
+  if (name.rfind("stray-", 0) == 0) {
+    const AlgorithmSpec parsed = parse_algorithm_spec(name);
+    MR_REQUIRE_MSG(parsed.name == "stray", "unknown algorithm: " << name);
+    return make_algorithm(parsed);
+  }
+  if (name == "stray") {
+    const AlgorithmParams& p = spec.params;
     MR_REQUIRE_MSG(p.stray_bound >= 0 && p.stray_bound <= 64,
                    "bad stray bound " << p.stray_bound);
     MR_REQUIRE_MSG(p.stray_block_threshold >= 1,

@@ -51,8 +51,9 @@ std::unique_ptr<Algorithm> make_algorithm(const AlgorithmSpec& spec);
 /// stray_bound = N; every other name passes through unchanged.
 std::unique_ptr<Algorithm> make_algorithm(const std::string& name);
 
-/// Parses a registry spelling into a typed spec (no instantiation, no
-/// validation beyond the numeric suffix shape).
+/// Parses a registry spelling into a typed spec (no instantiation). A
+/// "stray-" suffix that is not one decimal int in range keeps the whole
+/// name, so make_algorithm rejects it as unknown.
 AlgorithmSpec parse_algorithm_spec(const std::string& name);
 
 /// Names of all registered algorithms, in catalog order.

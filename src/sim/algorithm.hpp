@@ -191,8 +191,9 @@ class StepObserver {
 /// on_step_end calls. Per step it reports the injected deliveries, then
 /// each move (with on_deliver right after a delivering hop), then
 /// on_step_end — the order the engine emitted inline before digests
-/// existed. It costs a virtual call per event, so prefer StepObserver
-/// for new code.
+/// existed. It costs a virtual call per event; write new observers as
+/// StepObservers. Its last user is perfbench's StepClock, and it is
+/// deleted together with that class's port (ROADMAP, the perfbench item).
 class Observer : public StepObserver {
  public:
   /// Called once at the end of prepare(): the initial configuration is

@@ -85,9 +85,6 @@ class Sim {
   }
   /// Occupancy of one inlink queue (PerInlink layout only).
   virtual int occupancy(NodeId u, QueueTag tag) const = 0;
-  int capacity_left(NodeId u) const {
-    return queue_capacity_ - occupancy(u);
-  }
 
   /// Nodes currently holding at least one packet, ascending by NodeId.
   /// Valid between steps and inside on_prepare / on_step callbacks.

@@ -1,17 +1,14 @@
-// Event trace recorder: captures every move, delivery and injection of a
-// run as a flat event list that can be replayed against invariants,
-// diffed between runs, or dumped as JSON-lines for external tooling.
-// Purely observational (an Observer); never influences routing.
+// Event trace recorder: captures every move and delivery of a run as a
+// flat event list, for offline replay against the invariants
+// (check/oracles.hpp run_trace_oracles) and for path reconstruction.
+// Purely observational (a StepObserver); never influences routing.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "sim/algorithm.hpp"
 #include "sim/packet.hpp"
-#include "topo/topology.hpp"
 
 namespace mr {
 
@@ -27,41 +24,23 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-class TraceRecorder : public Observer {
+/// Records each digest as events in the per-event order: the injected
+/// deliveries first, then each move, a delivering hop followed by its
+/// Deliver event.
+class TraceRecorder : public StepObserver {
  public:
-  /// max_events bounds memory (0 = unlimited); recording stops silently at
-  /// the cap and truncated() reports it.
-  explicit TraceRecorder(std::size_t max_events = 0)
-      : max_events_(max_events) {}
-
-  void on_move(const Sim& e, const Packet& p, NodeId from,
-               NodeId to) override;
-  void on_deliver(const Sim& e, const Packet& p) override;
+  void on_prepare(const Sim& e, const StepDigest& d) override { record(e, d); }
+  void on_step(const Sim& e, const StepDigest& d) override { record(e, d); }
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  bool truncated() const { return truncated_; }
-
-  /// Events of one packet, in order.
-  std::vector<TraceEvent> packet_history(PacketId p) const;
 
   /// The node-path a packet took (source first; destination last if it was
   /// delivered).
   std::vector<NodeId> packet_path(PacketId p, NodeId source) const;
 
-  /// JSON-lines dump ({"t":..,"kind":"move",...} per line).
-  void write_jsonl(std::ostream& os) const;
-
-  /// True iff every recorded move reduces the L1 distance to the packet's
-  /// final destination — replays the minimality invariant offline.
-  bool all_moves_minimal(const Topology& mesh,
-                         const std::vector<Packet>& packets) const;
-
-  /// True iff no directed link carries two packets in the same step.
-  bool link_capacity_respected() const;
-
  private:
-  std::size_t max_events_;
-  bool truncated_ = false;
+  void record(const Sim& e, const StepDigest& d);
+
   std::vector<TraceEvent> events_;
 };
 

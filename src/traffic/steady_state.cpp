@@ -53,17 +53,6 @@ class PhaseAccountant final : public StepObserver {
   TrafficPhaseStats& drain_;
 };
 
-LatencySummary summarize(const Histogram& h) {
-  LatencySummary s;
-  if (h.total() == 0) return s;
-  s.mean = h.mean();
-  s.p50 = h.percentile(0.50);
-  s.p95 = h.percentile(0.95);
-  s.p99 = h.percentile(0.99);
-  s.max = h.max();
-  return s;
-}
-
 /// Phase-accounting aux blob for mid-run checkpoints: the six streamed
 /// counters the PhaseAccountant has accumulated (steps/offered are
 /// recomputed at run end from the engine/pump, which the snapshot covers).
@@ -227,7 +216,7 @@ SteadyStateResult run_steady_state(const SteadyStateSpec& spec,
                        windows - 1));
     window_latency[w].add(static_cast<double>(lat));
   }
-  r.latency = summarize(latency);
+  r.latency = latency_summary(latency);
 
   const bool measure_complete = r.measure.steps == spec.measure_steps;
   bool windows_populated = true;

@@ -102,9 +102,8 @@ struct SteadyStateResult {
   std::int64_t backlog_end = 0;  ///< undelivered packets at run end
 };
 
-/// Builds the network a steady-state spec routes on: the named registry
-/// topology, or the legacy mesh/torus selection when spec.topology is
-/// empty.
+/// Builds the network a steady-state spec routes on: the registry
+/// topology spec.resolved_topology() names.
 std::unique_ptr<Topology> steady_state_topology(const SteadyStateSpec& spec);
 
 /// Runs the protocol with a fresh source built from (spec.traffic,

@@ -17,13 +17,13 @@ namespace {
 /// Observes the §5 proof invariant: every node whose column queues (tags
 /// N/S) were non-empty at the start of a step ejects a packet from each
 /// such queue during that step.
-class AlwaysEjectChecker : public Observer {
+class AlwaysEjectChecker : public StepObserver {
  public:
   explicit AlwaysEjectChecker(const Mesh& mesh) : mesh_(mesh) {}
 
   // Called at end of step t; compares against the snapshot taken at the
   // end of step t−1 (queue contents at the start of step t).
-  void on_step_end(const Sim& e) override {
+  void on_step(const Sim& e, const StepDigest&) override {
     if (!prev_.empty()) {
       // For every node that had a non-empty column queue, at least one of
       // those packets must have left the node (moved or delivered).
@@ -145,8 +145,8 @@ TEST(BoundedDo, RowPacketsNeverEnterColumnQueuesEarly) {
   for (const Demand& d : random_permutation(mesh, 13))
     e.add_packet(d.source, d.dest, d.injected_at);
 
-  struct TagChecker : Observer {
-    void on_step_end(const Sim& eng) override {
+  struct TagChecker : StepObserver {
+    void on_step(const Sim& eng, const StepDigest&) override {
       for (NodeId u = 0; u < eng.mesh().num_nodes(); ++u) {
         for (PacketId p : eng.packets_at(u)) {
           const Packet& pk = eng.packet(p);

@@ -4,11 +4,14 @@
 //  * minimality — for minimal routers the path length equals the L1
 //    distance (equivalently, every move is profitable),
 //  * link capacity — no directed link ever carries two packets in a step,
+//    and minimal routers make only profitable hops (checked online by
+//    LinkCapacityOracle and ProfitableMoveOracle),
 //  * bounded stray — for the §5 nonminimal router every path stays within
 //    the rectangle expanded by δ,
 //  * determinism — two identical runs produce identical event traces.
 #include <gtest/gtest.h>
 
+#include "check/oracles.hpp"
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
@@ -76,7 +79,6 @@ TEST_P(ModelProperties, ConservationAndPaths) {
   const RunArtifacts run = run_traced(p, mesh, w);
   ASSERT_TRUE(run.all_delivered);
 
-  TraceRecorder helper;  // reuse path reconstruction on a copy
   std::vector<int> delivered_count(run.packets.size(), 0);
   for (const TraceEvent& ev : run.trace)
     if (ev.kind == TraceEventKind::Deliver) ++delivered_count[ev.packet];
@@ -136,15 +138,14 @@ TEST_P(ModelProperties, LinkCapacityOnePacketPerStep) {
   config.queue_capacity = p.k;
   Engine e(mesh, config, *algo);
   for (const Demand& d : w) e.add_packet(d.source, d.dest, d.injected_at);
-  TraceRecorder trace;
-  e.add_observer(&trace);
+  // The oracles throw InvariantViolation on the first breach.
+  LinkCapacityOracle link_capacity;
+  ProfitableMoveOracle profitable(/*minimal=*/true);
+  e.add_observer(&link_capacity);
+  if (algo->minimal()) e.add_observer(&profitable);
   e.prepare();
   e.run(100000);
   ASSERT_TRUE(e.all_delivered());
-  EXPECT_TRUE(trace.link_capacity_respected());
-  if (algo->minimal()) {
-    EXPECT_TRUE(trace.all_moves_minimal(mesh, e.all_packets()));
-  }
 }
 
 TEST_P(ModelProperties, DeterministicTraces) {
@@ -213,40 +214,6 @@ TEST(BoundedStray, PathsStayInExpandedRectangle) {
       }
     }
   }
-}
-
-TEST(Trace, JsonlShape) {
-  const Mesh mesh = Mesh::square(6);
-  auto algo = make_algorithm("dimension-order");
-  Engine::Config config;
-  config.queue_capacity = 2;
-  Engine e(mesh, config, *algo);
-  e.add_packet(mesh.id_of(0, 0), mesh.id_of(2, 0));
-  TraceRecorder trace;
-  e.add_observer(&trace);
-  e.prepare();
-  e.run(100);
-  std::ostringstream os;
-  trace.write_jsonl(os);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("\"kind\":\"move\""), std::string::npos);
-  EXPECT_NE(s.find("\"kind\":\"deliver\""), std::string::npos);
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);  // 2 moves + deliver
-}
-
-TEST(Trace, TruncationCap) {
-  const Mesh mesh = Mesh::square(8);
-  auto algo = make_algorithm("dimension-order");
-  Engine::Config config;
-  config.queue_capacity = 2;
-  Engine e(mesh, config, *algo);
-  e.add_packet(mesh.id_of(0, 0), mesh.id_of(7, 7));
-  TraceRecorder trace(/*max_events=*/4);
-  e.add_observer(&trace);
-  e.prepare();
-  e.run(100);
-  EXPECT_EQ(trace.events().size(), 4u);
-  EXPECT_TRUE(trace.truncated());
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "routing/dimension_order.hpp"
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
-#include "sim/metrics.hpp"
 #include "topo/mesh.hpp"
 #include "traffic/source.hpp"
 
@@ -55,10 +54,10 @@ TEST(Engine, DimensionOrderPathIsRowFirst) {
   e.prepare();
 
   // Track the trajectory via an observer.
-  struct Tracker : Observer {
+  struct Tracker : StepObserver {
     std::vector<NodeId> path;
-    void on_move(const Sim&, const Packet&, NodeId, NodeId to) override {
-      path.push_back(to);
+    void on_step(const Sim&, const StepDigest& d) override {
+      for (const MoveRecord& m : d.moves) path.push_back(m.to);
     }
   };
   // Observer must be added before prepare, so rebuild.
@@ -250,19 +249,6 @@ TEST(Engine, FutureInjectionIsNotAStall) {
   EXPECT_TRUE(e.all_delivered());
   // Enters its queue at the start of step 50, then three hops.
   EXPECT_EQ(e.packet(0).delivered_at, 52);
-}
-
-TEST(Engine, MetricsLatencyMatchesDeliveredAt) {
-  const Mesh m = Mesh::square(8);
-  DimensionOrderRouter algo;
-  Engine e(m, cfg(1), algo);
-  e.add_packet(m.id_of(0, 0), m.id_of(7, 0));
-  MetricsObserver metrics;
-  e.add_observer(&metrics);
-  e.prepare();
-  e.run(100);
-  EXPECT_EQ(metrics.latency().max(), 7);
-  EXPECT_EQ(metrics.latency().total(), 1);
 }
 
 /// Makes one malformed out-plan at the node holding packet 0 and plans

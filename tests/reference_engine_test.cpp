@@ -204,23 +204,59 @@ TEST(FuzzCase, RunFuzzCaseOnRegistryTopologies) {
 }
 
 TEST(FuzzCase, ParseRejectsMalformedSpecs) {
-  FuzzCase out;
-  std::string error;
-  EXPECT_FALSE(parse_fuzz_case("", &out, &error));
-  EXPECT_FALSE(parse_fuzz_case("algo=dimension-order", &out, &error));
   // Algorithm names resolve at run time, not parse time; structural and
-  // range errors are rejected here.
-  EXPECT_FALSE(parse_fuzz_case(
-      "algo=dimension-order n=4 torus=0 k=0 budget=64 demands=0-1", &out,
-      &error));
-  EXPECT_FALSE(parse_fuzz_case(
-      "algo=dimension-order n=4 torus=0 k=1 budget=64 demands=0-99", &out,
-      &error));
-  EXPECT_FALSE(parse_fuzz_case(
-      "algo=dimension-order n=4 torus=0 topo=hypercube k=1 budget=64 "
-      "demands=0-1",
-      &out, &error));
-  EXPECT_FALSE(error.empty());
+  // range errors are rejected here. Parsed only: none of these may run.
+  FuzzCase out;
+  for (const char* spec : {
+           "",
+           "algo=dimension-order",
+           "algo=dimension-order n=4 torus=0 k=0 budget=64 demands=0-1",
+           "algo=dimension-order n=4 torus=0 k=1 budget=64 demands=0-99",
+           "algo=dimension-order n=4 torus=0 topo=hypercube k=1 budget=64 "
+           "demands=0-1",
+           // n*n overflows NodeId (n = 46341 is the first such side).
+           "algo=dimension-order n=46341 demands=0-1",
+           "algo=dimension-order n=2147483648 demands=0-1",
+           // Values past a field's range must not wrap to small ones.
+           "algo=dimension-order n=4 k=4294967297 demands=0-1",
+           "algo=dimension-order n=4 demands=4294967296-5",
+           "algo=dimension-order n=4 demands=0-4294967297",
+           "algo=dimension-order n=4 shards=4294967297 demands=0-1",
+           "algo=dimension-order n=4 threads=4294967297 demands=0-1",
+           "algo=dimension-order n=4 budget=99999999999999999999 demands=0-1",
+           "algo=dimension-order n=4 demands=0-1@99999999999999999999",
+           "algo=dimension-order n=4 tseed=99999999999999999999 demands=0-1",
+           "algo=dimension-order n=4 traffic=uniform rate=nan tsteps=1 "
+           "demands=0-1",
+           // Empty or trailing text.
+           "algo=dimension-order n= demands=0-1",
+           "algo=dimension-order n=4x demands=0-1",
+           "algo=dimension-order n=4 demands=0-1@",
+           "algo=dimension-order n=4 demands=0-1-2",
+       }) {
+    std::string error;
+    EXPECT_FALSE(parse_fuzz_case(spec, &out, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+  // The largest side whose node ids fit still parses.
+  std::string error;
+  EXPECT_TRUE(parse_fuzz_case("algo=dimension-order n=46340 demands=0-1@7",
+                              &out, &error))
+      << error;
+  EXPECT_EQ(out.n, 46340);
+  EXPECT_EQ(out.demands[0].injected_at, 7);
+}
+
+TEST(FuzzCase, MakeAlgorithmRejectsMalformedStraySuffix) {
+  for (const char* name :
+       {"stray-2junk", "stray-", "stray- 2", "stray-+2", "stray-0x2",
+        "stray-99999999999999999999", "stray-65", "stray--1"})
+    EXPECT_THROW(make_algorithm(name), InvariantViolation) << name;
+  EXPECT_EQ(parse_algorithm_spec("stray-2junk").name, "stray-2junk");
+  const AlgorithmSpec seven = parse_algorithm_spec("stray-7");
+  EXPECT_EQ(seven.name, "stray");
+  EXPECT_EQ(seven.params.stray_bound, 7);
+  EXPECT_EQ(make_algorithm("stray-7")->max_stray(), 7);
 }
 
 TEST(FuzzCase, RunFuzzCasePassesOnRegisteredAlgorithms) {

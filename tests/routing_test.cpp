@@ -106,12 +106,13 @@ TEST_P(RoutingSuite, MovesAreAlwaysMinimal) {
       central_queue(algorithm) ? northeast_only(mesh, full) : full;
   for (const Demand& d : w) e.add_packet(d.source, d.dest, d.injected_at);
 
-  struct MinimalityCheck : Observer {
-    void on_move(const Sim& eng, const Packet& p, NodeId from,
-                 NodeId to) override {
-      const NodeId dest = p.dest;
-      EXPECT_EQ(eng.mesh().distance(to, dest),
-                eng.mesh().distance(from, dest) - 1);
+  struct MinimalityCheck : StepObserver {
+    void on_step(const Sim& eng, const StepDigest& d) override {
+      for (const MoveRecord& m : d.moves) {
+        const NodeId dest = eng.packet(m.packet).dest;
+        EXPECT_EQ(eng.mesh().distance(m.to, dest),
+                  eng.mesh().distance(m.from, dest) - 1);
+      }
     }
   } checker;
   e.add_observer(&checker);

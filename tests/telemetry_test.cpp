@@ -1,8 +1,9 @@
-// Telemetry subsystem tests: a per-event Observer replays each step digest
-// as the historical per-event callback stream exactly, the
-// TelemetryCollector's stride-doubling series stays bounded and lossless in
-// its sums, and the meshroute-telemetry/1 export round-trips through the
-// json_min validator.
+// Telemetry subsystem tests: TraceRecorder reads each step digest in the
+// per-event Observer's replay order exactly, the prepare() digest carries
+// the source==dest deliveries, the latency summary counts what was
+// delivered, the TelemetryCollector's stride-doubling series stays bounded
+// and lossless in its sums, and the meshroute-telemetry/1 export
+// round-trips through the json_min validator.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,35 +25,23 @@
 namespace mr {
 namespace {
 
-/// Rebuilds the TraceRecorder event stream from step digests: an Observer
-/// replays injected deliveries first, then each MoveRecord as on_move
-/// (+ on_deliver when it delivered).
-class DigestTraceRebuilder final : public StepObserver {
+/// The per-event Observer's replay of each digest, recorded as trace
+/// events: what TraceRecorder must match event for event.
+class PerEventRecorder final : public Observer {
  public:
-  void on_prepare(const Sim& e, const StepDigest& d) override {
-    append(e, d);
+  void on_move(const Sim& e, const Packet& p, NodeId from,
+               NodeId to) override {
+    events_.push_back({TraceEventKind::Move, e.step(), p.id, from, to});
+    if (to != p.dest) ++non_delivery_moves_;
   }
-  void on_step(const Sim& e, const StepDigest& d) override {
-    append(e, d);
+  void on_deliver(const Sim& e, const Packet& p) override {
+    events_.push_back(
+        {TraceEventKind::Deliver, e.step(), p.id, p.dest, p.dest});
   }
   const std::vector<TraceEvent>& events() const { return events_; }
   std::int64_t non_delivery_moves() const { return non_delivery_moves_; }
 
  private:
-  void append(const Sim& e, const StepDigest& d) {
-    for (PacketId p : d.injected_deliveries)
-      events_.push_back({TraceEventKind::Deliver, d.step, p, e.packet(p).dest,
-                         e.packet(p).dest});
-    for (const MoveRecord& m : d.moves) {
-      events_.push_back({TraceEventKind::Move, d.step, m.packet, m.from, m.to});
-      if (m.delivered)
-        events_.push_back({TraceEventKind::Deliver, d.step, m.packet,
-                           e.packet(m.packet).dest, e.packet(m.packet).dest});
-      else
-        ++non_delivery_moves_;
-    }
-  }
-
   std::vector<TraceEvent> events_;
   std::int64_t non_delivery_moves_ = 0;
 };
@@ -88,64 +77,81 @@ TEST(ObserverReplay, DigestStreamMatchesTraceRecorder) {
   for (const std::string& router :
        {std::string("adaptive-alternate"), std::string("stray-2"),
         std::string("bounded-dimension-order")}) {
-    EngineRun per_event = make_run(router, 10, false, 2, 11);
+    EngineRun run = make_run(router, 10, false, 2, 11);
+    // Source==dest packets delivered by prepare() and by a later step's
+    // injection, ahead of that step's moves.
+    run.engine->add_packet(5, 5);
+    run.engine->add_packet(7, 7, /*injected_at=*/3);
     TraceRecorder trace;
-    per_event.engine->add_observer(&trace);
-    per_event.engine->prepare();
-    per_event.engine->run(300);
+    PerEventRecorder per_event;
+    run.engine->add_observer(&trace);
+    run.engine->add_observer(&per_event);
+    run.engine->prepare();
+    run.engine->run(300);
 
-    EngineRun digest = make_run(router, 10, false, 2, 11);
-    DigestTraceRebuilder rebuilt;
-    digest.engine->add_observer(&rebuilt);
-    digest.engine->prepare();
-    digest.engine->run(300);
-
-    ASSERT_EQ(trace.events().size(), rebuilt.events().size()) << router;
+    ASSERT_EQ(trace.events().size(), per_event.events().size()) << router;
     for (std::size_t i = 0; i < trace.events().size(); ++i)
-      ASSERT_EQ(trace.events()[i], rebuilt.events()[i])
+      ASSERT_EQ(trace.events()[i], per_event.events()[i])
           << router << " event " << i;
     // Non-delivering hops are exactly what the engine's own counter counts.
-    EXPECT_EQ(rebuilt.non_delivery_moves(), digest.engine->total_moves());
+    EXPECT_EQ(per_event.non_delivery_moves(), run.engine->total_moves());
   }
 }
 
-TEST(ObserverReplay, MetricsObserverNumbersUnchanged) {
-  // MetricsObserver counts through the per-event replay; a digest-side
-  // recount of deliveries per step must agree with its delivery curve.
-  EngineRun run = make_run("greedy-match", 12, false, 2, 13, /*monotone=*/true);
-  MetricsObserver metrics;
-  run.engine->add_observer(&metrics);
-
-  std::vector<std::int64_t> deliveries_by_step;
-  class Recount final : public StepObserver {
+TEST(StepDigest, PrepareDigestCarriesSourceEqualsDestDeliveries) {
+  const Mesh mesh = Mesh::square(4);
+  auto algo = make_algorithm("dimension-order");
+  Engine::Config config;
+  config.queue_capacity = 2;
+  Engine e(mesh, config, *algo);
+  // Two source==dest packets deliver during prepare(), one travels.
+  e.add_packet(mesh.id_of(1, 1), mesh.id_of(1, 1));
+  e.add_packet(mesh.id_of(2, 2), mesh.id_of(2, 2));
+  e.add_packet(mesh.id_of(0, 0), mesh.id_of(2, 0));
+  class PrepareDigest final : public StepObserver {
    public:
-    explicit Recount(std::vector<std::int64_t>* out) : out_(out) {}
     void on_prepare(const Sim&, const StepDigest& d) override {
-      out_->push_back(d.deliveries);
+      step = d.step;
+      deliveries = d.deliveries;
+      ids.assign(d.injected_deliveries.begin(), d.injected_deliveries.end());
     }
-    void on_step(const Sim&, const StepDigest& d) override {
-      out_->push_back(d.deliveries);
-    }
+    void on_step(const Sim&, const StepDigest&) override {}
+    Step step = -1;
+    std::int64_t deliveries = 0;
+    std::vector<PacketId> ids;
+  } prepare;
+  e.add_observer(&prepare);
+  e.prepare();
+  EXPECT_EQ(prepare.step, 0);
+  EXPECT_EQ(prepare.deliveries, 2);
+  EXPECT_EQ(prepare.ids, (std::vector<PacketId>{0, 1}));
+  EXPECT_EQ(e.packet(0).delivered_at, 0);
+  EXPECT_EQ(e.packet(1).delivered_at, 0);
+}
 
-   private:
-    std::vector<std::int64_t>* out_;
-  } recount(&deliveries_by_step);
-  run.engine->add_observer(&recount);
-
-  run.engine->prepare();
-  run.engine->run(1000);
-  ASSERT_TRUE(run.engine->all_delivered());
-
-  const auto& curve = metrics.delivered_by_step();
-  ASSERT_EQ(curve.size(), deliveries_by_step.size());
-  std::int64_t cumulative = 0;
-  for (std::size_t t = 0; t < curve.size(); ++t) {
-    cumulative += deliveries_by_step[t];
-    EXPECT_EQ(curve[t], cumulative) << "step " << t;
-  }
-  const LatencySummary latency = metrics.latency_summary();
-  EXPECT_GE(latency.max, latency.p99);
-  EXPECT_GE(latency.p99, latency.p50);
+TEST(LatencySummary, FromPacketsSkipsUndeliveredAndCountsSelfDeliveries) {
+  const Mesh mesh = Mesh::square(8);
+  auto algo = make_algorithm("dimension-order");
+  Engine::Config config;
+  config.queue_capacity = 8;
+  Engine e(mesh, config, *algo);
+  // Three packets with known uncontended latencies 3, 7, 14, a source==dest
+  // packet (latency 0) and one that is not due before the run ends.
+  e.add_packet(mesh.id_of(0, 0), mesh.id_of(3, 0));
+  e.add_packet(mesh.id_of(0, 1), mesh.id_of(7, 1));
+  e.add_packet(mesh.id_of(0, 7), mesh.id_of(7, 0));
+  e.add_packet(mesh.id_of(5, 5), mesh.id_of(5, 5));
+  e.add_packet(mesh.id_of(4, 4), mesh.id_of(6, 6), /*injected_at=*/1000);
+  e.prepare();
+  e.run(100);
+  ASSERT_EQ(e.delivered_count(), 4u);
+  const LatencySummary s = latency_summary_from_packets(e.all_packets());
+  EXPECT_DOUBLE_EQ(s.mean, (0 + 3 + 7 + 14) / 4.0);
+  EXPECT_EQ(s.p50, 3);
+  EXPECT_EQ(s.p95, 14);
+  EXPECT_EQ(s.p99, 14);
+  EXPECT_EQ(s.max, 14);
+  EXPECT_EQ(latency_summary_from_packets({}).max, 0);
 }
 
 TEST(StepDigest, CountersAreSelfConsistent) {
