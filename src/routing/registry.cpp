@@ -1,8 +1,7 @@
 #include "routing/registry.hpp"
 
-#include <charconv>
-
 #include "core/assert.hpp"
+#include "core/parse.hpp"
 #include "fastroute/fastroute.hpp"
 #include "routing/adaptive.hpp"
 #include "routing/bounded_dimension_order.hpp"
@@ -51,11 +50,8 @@ AlgorithmSpec parse_algorithm_spec(const std::string& name) {
   if (name.rfind("stray-", 0) != 0) return spec;
   // The whole suffix must be one decimal int; any other suffix leaves the
   // name as given, which make_algorithm rejects as unknown.
-  const char* first = name.data() + 6;
-  const char* last = name.data() + name.size();
   int bound = 0;
-  const auto [end, ec] = std::from_chars(first, last, bound);
-  if (ec != std::errc() || end != last) return spec;
+  if (!parse_decimal(std::string_view(name).substr(6), &bound)) return spec;
   spec.name = "stray";
   spec.params.stray_bound = bound;
   return spec;

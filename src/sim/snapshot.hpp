@@ -18,6 +18,10 @@
 //            source RNG, pump window, phase accounting)
 //   rest:    little-endian binary payload (packets, node states,
 //            injections, counters)
+// The writer takes one pass into one buffer: the payload size follows
+// from the element counts, so the header goes first with a placeholder
+// checksum, the string is resized once, the fields are stored in place
+// and the checksum digits are patched last.
 // Strict validation: a corrupt or truncated file raises
 // SnapshotError{Format}, an identity mismatch against the restoring
 // engine raises SnapshotError{Mismatch} naming the field.

@@ -1,8 +1,7 @@
 #include "topo/registry.hpp"
 
-#include <cstdlib>
-
 #include "core/assert.hpp"
+#include "core/parse.hpp"
 #include "topo/cmesh.hpp"
 #include "topo/mesh.hpp"
 
@@ -21,12 +20,15 @@ const std::vector<TopologyInfo>& topology_catalog() {
 
 TopoSpec parse_topology_spec(const std::string& name) {
   TopoSpec spec;
-  if (name.rfind("cmesh-", 0) == 0) {
-    spec.name = "cmesh";
-    spec.params.concentration = std::atoi(name.c_str() + 6);
-  } else {
-    spec.name = name;
-  }
+  spec.name = name;
+  if (name.rfind("cmesh-", 0) != 0) return spec;
+  // The whole suffix must be one decimal int; any other suffix leaves the
+  // name as given, which no topology is registered under.
+  std::int32_t concentration = 0;
+  if (!parse_decimal(std::string_view(name).substr(6), &concentration))
+    return spec;
+  spec.name = "cmesh";
+  spec.params.concentration = concentration;
   return spec;
 }
 
@@ -42,9 +44,9 @@ std::unique_ptr<Topology> make_topology(const TopoSpec& spec) {
   if (name == "torus")
     return std::make_unique<Mesh>(spec.width, spec.height, /*torus=*/true);
   if (name == "cmesh" || name.rfind("cmesh-", 0) == 0) {
-    const TopoParams& p = name == "cmesh"
-                              ? spec.params
-                              : parse_topology_spec(name).params;
+    const TopoSpec parsed = name == "cmesh" ? spec : parse_topology_spec(name);
+    MR_REQUIRE_MSG(parsed.name == "cmesh", "unknown topology: " << name);
+    const TopoParams& p = parsed.params;
     MR_REQUIRE_MSG(p.concentration >= 1 && p.concentration <= 64,
                    "bad cmesh concentration " << p.concentration);
     return std::make_unique<CMesh>(spec.width, spec.height, p.concentration);

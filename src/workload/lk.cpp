@@ -1,10 +1,10 @@
 #include "workload/lk.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/assert.hpp"
+#include "core/parse.hpp"
 #include "core/rng.hpp"
 
 namespace mr {
@@ -40,20 +40,16 @@ bool parse_lk_spec(const std::string& text, LkSpec* out, std::string* error) {
     if (error) *error = "unknown lk variant '" + spec.variant + "'";
     return false;
   }
-  char* end = nullptr;
-  spec.l = static_cast<int>(std::strtol(parts[1].c_str(), &end, 10));
-  if (end == nullptr || *end != '\0' || spec.l < 1) {
+  if (!parse_decimal(parts[1], &spec.l) || spec.l < 1) {
     if (error) *error = "lk spec needs l >= 1, got '" + parts[1] + "'";
     return false;
   }
-  spec.k = static_cast<int>(std::strtol(parts[2].c_str(), &end, 10));
-  if (end == nullptr || *end != '\0' || spec.k < 1) {
+  if (!parse_decimal(parts[2], &spec.k) || spec.k < 1) {
     if (error) *error = "lk spec needs k >= 1, got '" + parts[2] + "'";
     return false;
   }
   if (parts.size() == 4) {
-    spec.seed = std::strtoull(parts[3].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    if (!parse_decimal(parts[3], &spec.seed)) {
       if (error) *error = "malformed lk seed '" + parts[3] + "'";
       return false;
     }

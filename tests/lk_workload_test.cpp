@@ -52,6 +52,14 @@ TEST(LkSpec, ParseRejectsMalformedSpecs) {
   EXPECT_FALSE(parse_lk_spec("uniform:2:-1", &spec, &error));
   EXPECT_FALSE(parse_lk_spec("uniform:2:2:x", &spec, &error));
   EXPECT_FALSE(parse_lk_spec("uniform:2:2:1:9", &spec, &error));
+  // Whole decimal numbers in the field's range only: no wrap to a small
+  // value, no sign or trailing text.
+  EXPECT_FALSE(parse_lk_spec("uniform:4294967297:1:1", &spec, &error));
+  EXPECT_FALSE(parse_lk_spec("uniform:1:4294967297", &spec, &error));
+  EXPECT_FALSE(parse_lk_spec("uniform:2x:2", &spec, &error));
+  EXPECT_FALSE(parse_lk_spec("uniform:+2:2", &spec, &error));
+  EXPECT_FALSE(parse_lk_spec("uniform:2:2:-1", &spec, &error));
+  EXPECT_FALSE(parse_lk_spec("uniform:2:2:99999999999999999999", &spec, &error));
 }
 
 TEST(LkUniform, DegreeBoundsAndSendLaw) {

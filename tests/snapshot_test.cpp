@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -365,6 +368,125 @@ TEST(Snapshot, RestoresALargeBacklogMidRun) {
       EXPECT_EQ(e.kind(), SnapshotError::Kind::Format) << e.what();
     }
   }
+}
+
+/// FNV-1a of `bytes` as 16 hex digits, the form of the header checksum.
+std::string fnv1a_hex(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+/// A snapshot with every section filled: queued and delivered packets,
+/// pending future-dated injections, packets waiting outside a full source
+/// queue, and aux blobs whose text needs JSON escapes.
+std::string sample_wire() {
+  EngineSnapshot snap = sample_snapshot("dimension-order", 1, /*crowd=*/4);
+  snap.set_aux("source", "rng \"seed\" 7\\n\x01\tend");
+  snap.set_aux("pump", "window=3,offered=19");
+  return serialize_snapshot(snap);
+}
+
+TEST(Snapshot, WireBytesUnchanged) {
+  // The exact meshroute-snapshot/1 bytes of a fixed run, pinned so that a
+  // rewrite of the writer cannot change the format unnoticed.
+  const std::string wire = sample_wire();
+  const EngineSnapshot snap = parse_snapshot(wire);
+  ASSERT_GT(snap.injections.size(), snap.injection_cursor);
+  ASSERT_FALSE(snap.waiting_injections.empty());
+  ASSERT_EQ(snap.aux.size(), 2u);
+  EXPECT_EQ(wire.size(), 3298u);
+  EXPECT_EQ(fnv1a_hex(wire), "b18875aacc4f97cd");
+}
+
+TEST(Snapshot, MutatedBytesParseOrThrowSnapshotError) {
+  // Seeded byte mutations of a small snapshot: header and payload bytes
+  // flipped, the file truncated, header digits edited, and payload bytes
+  // flipped under a recomputed checksum. Every mutant must parse or throw
+  // SnapshotError, and every mutant that parses must restore or throw
+  // SnapshotError; nothing else may escape.
+  const std::string good = sample_wire();
+  const std::size_t header_at = good.find('\n') + 1;
+  const std::size_t payload_at = good.find('\n', header_at) + 1;
+  const std::size_t checksum_at =
+      good.find("\"checksum\":\"", header_at) + std::string("\"checksum\":\"").size();
+  ASSERT_LT(checksum_at, payload_at);
+  std::vector<std::size_t> digits;
+  for (std::size_t i = header_at; i < payload_at; ++i)
+    if (good[i] >= '0' && good[i] <= '9') digits.push_back(i);
+  const std::unique_ptr<Topology> topo = make_topology("mesh", kN, kN);
+
+  std::mt19937_64 rng(20240611);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto flip = [&](std::string& w, std::size_t at) {
+    w[at] = static_cast<char>(w[at] ^ (1 + below(255)));
+  };
+  constexpr int kMutants = 2000;
+  int parsed = 0;
+  int restored = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string wire = good;
+    switch (i % 5) {
+      case 0:
+        flip(wire, below(payload_at));
+        break;
+      case 1:
+        flip(wire, payload_at + below(wire.size() - payload_at));
+        break;
+      case 2:
+        wire.resize(below(wire.size()));
+        break;
+      case 3: {
+        const std::size_t at = digits[below(digits.size())];
+        switch (below(3)) {
+          case 0:
+            wire[at] = static_cast<char>('0' + (wire[at] - '0' + 1 + below(9)) % 10);
+            break;
+          case 1:
+            wire.erase(at, 1);
+            break;
+          default:
+            wire.insert(at, 1, static_cast<char>('0' + below(10)));
+        }
+        break;
+      }
+      default: {
+        flip(wire, payload_at + below(wire.size() - payload_at));
+        wire.replace(checksum_at, 16,
+                     fnv1a_hex(std::string_view(wire).substr(payload_at)));
+      }
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    EngineSnapshot snap;
+    try {
+      snap = parse_snapshot(wire);
+    } catch (const SnapshotError&) {
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "parse threw a non-SnapshotError: " << e.what();
+      continue;
+    }
+    ++parsed;
+    Engine engine(*topo, engine_config(1),
+                  [] { return make_algorithm("dimension-order"); });
+    try {
+      engine.restore(snap);
+      ++restored;
+    } catch (const SnapshotError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "restore threw a non-SnapshotError: " << e.what();
+    }
+  }
+  // The mutants reach restore, and some of them restore cleanly.
+  EXPECT_GT(parsed, kMutants / 10);
+  EXPECT_GT(restored, 0);
 }
 
 TEST(Snapshot, FileRoundTripAndIoError) {

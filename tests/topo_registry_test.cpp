@@ -167,6 +167,17 @@ TEST(TopoRegistry, ParseCmeshSuffix) {
   EXPECT_EQ(plain.name, "torus");
 }
 
+TEST(TopoRegistry, MalformedCmeshSuffixIsUnknown) {
+  // A suffix that is not one whole decimal int keeps the full name, which
+  // no topology is registered under.
+  for (const char* name : {"cmesh-4junk", "cmesh-", "cmesh- 4", "cmesh-+4",
+                           "cmesh-0x4", "cmesh-99999999999999999999"}) {
+    EXPECT_EQ(parse_topology_spec(name).name, name);
+    EXPECT_FALSE(known_topology(name)) << name;
+    EXPECT_THROW(make_topology(name, 4, 4), InvariantViolation) << name;
+  }
+}
+
 TEST(TopoRegistry, MakeTopologyBuildsTheRightTypes) {
   const auto mesh = make_topology("mesh", 5, 3);
   EXPECT_EQ(mesh->name(), "mesh");
