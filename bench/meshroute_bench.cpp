@@ -65,7 +65,6 @@
 // every check passed; a malformed command line (numeric flags take
 // decimal digits only) prints the usage line and exits 2. CSV export of
 // each table still honours MESHROUTE_OUTPUT_DIR.
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -74,6 +73,7 @@
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "core/parse.hpp"
 #include "harness/scenario.hpp"
 #include "routing/registry.hpp"
 #include "scenarios.hpp"
@@ -101,13 +101,8 @@ int usage(const char* argv0) {
 // overflow).
 template <typename T>
 bool parse_number(const std::string& text, T min, T* out) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos)
-    return false;
   T value{};
-  const auto result =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (result.ec != std::errc() || value < min) return false;
+  if (!mr::parse_decimal(text, &value) || value < min) return false;
   *out = value;
   return true;
 }

@@ -10,6 +10,7 @@
 
 #include "check/oracles.hpp"
 #include "check/reference_engine.hpp"
+#include "core/parse.hpp"
 #include "core/rng.hpp"
 #include "routing/registry.hpp"
 #include "topo/registry.hpp"
@@ -35,29 +36,22 @@ bool has_traffic(const FuzzCase& c) {
   return c.traffic != "none" && c.tsteps > 0;
 }
 
-/// Parses all of `text` as one number of type T (decimal for integers).
-/// Rejects empty or trailing text, strto*'s ERANGE and integers outside
-/// T's range; leaves *out untouched on failure.
+/// Parses all of `text` as one number of type T: integers through
+/// parse_decimal, floating point through strtod (rejecting empty or
+/// trailing text and ERANGE). Leaves *out untouched on failure.
 template <typename T>
 bool parse_number(const std::string& text, T* out) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  errno = 0;
-  T v{};
-  if constexpr (std::is_floating_point_v<T>) {
-    v = std::strtod(begin, &end);
-  } else if constexpr (std::is_unsigned_v<T>) {
-    v = std::strtoull(begin, &end, 10);
+  if constexpr (std::is_integral_v<T>) {
+    return parse_decimal(text, out);
   } else {
-    const long long wide = std::strtoll(begin, &end, 10);
-    if (wide < std::numeric_limits<T>::min() ||
-        wide > std::numeric_limits<T>::max())
-      return false;
-    v = static_cast<T>(wide);
+    const char* begin = text.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const T v = std::strtod(begin, &end);
+    if (end == begin || *end != '\0' || errno == ERANGE) return false;
+    *out = v;
+    return true;
   }
-  if (end == begin || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
 }
 
 /// The network a case routes on: the named registry topology ("" = mesh).

@@ -2,9 +2,9 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/assert.hpp"
+#include "core/parse.hpp"
 #include "topo/topology.hpp"
 
 namespace mr {
@@ -26,28 +26,19 @@ bool parse_dir_letter(const std::string& s, Dir* out) {
   return false;
 }
 
-bool parse_int_field(const std::string& field, std::int64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 /// Parses the trailing "@<down>[-<up>]" window of one event token.
 bool parse_window(const std::string& text, FaultEvent* ev,
                   std::string* error) {
   const std::size_t dash = text.find('-');
   std::int64_t down = 0, up = 0;
   if (dash == std::string::npos) {
-    if (!parse_int_field(text, &down))
+    if (!parse_decimal(text, &down))
       return fail(error, "faults: bad down step '" + text + "'");
     ev->down_at = down;
     ev->up_at = kStepNever;
   } else {
-    if (!parse_int_field(text.substr(0, dash), &down) ||
-        !parse_int_field(text.substr(dash + 1), &up))
+    if (!parse_decimal(std::string_view(text).substr(0, dash), &down) ||
+        !parse_decimal(std::string_view(text).substr(dash + 1), &up))
       return fail(error, "faults: bad window '" + text + "'");
     ev->down_at = down;
     ev->up_at = up;
@@ -103,22 +94,20 @@ bool parse_fault_schedule(const std::string& text, FaultSchedule* out,
     const std::string head = token.substr(0, at);
     FaultEvent ev;
     if (!parse_window(token.substr(at + 1), &ev, error)) return false;
-    std::int64_t node = 0;
     if (head.rfind("node:", 0) == 0) {
       ev.kind = FaultEvent::Kind::Node;
-      if (!parse_int_field(head.substr(5), &node) || node < 0)
+      if (!parse_decimal(std::string_view(head).substr(5), &ev.node) ||
+          ev.node < 0)
         return fail(error, "faults: bad node id in '" + token + "'");
-      ev.node = static_cast<NodeId>(node);
     } else if (head.rfind("link:", 0) == 0) {
       ev.kind = FaultEvent::Kind::Link;
       const std::string rest = head.substr(5);
       const std::size_t colon = rest.find(':');
       if (colon == std::string::npos ||
-          !parse_int_field(rest.substr(0, colon), &node) || node < 0 ||
-          !parse_dir_letter(rest.substr(colon + 1), &ev.dir))
+          !parse_decimal(std::string_view(rest).substr(0, colon), &ev.node) ||
+          ev.node < 0 || !parse_dir_letter(rest.substr(colon + 1), &ev.dir))
         return fail(error,
                     "faults: expected link:<node>:<N|E|S|W> in '" + token + "'");
-      ev.node = static_cast<NodeId>(node);
     } else {
       return fail(error, "faults: event '" + token +
                              "' must start with node: or link:");

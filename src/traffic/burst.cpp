@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "core/assert.hpp"
+#include "core/parse.hpp"
 
 namespace mr {
 namespace {
@@ -35,15 +36,6 @@ std::vector<std::string> split_fields(const std::string& text) {
   }
 }
 
-bool parse_step_field(const std::string& field, Step* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0') return false;
-  *out = static_cast<Step>(v);
-  return true;
-}
-
 bool parse_prob_field(const std::string& field, double* out) {
   if (field.empty()) return false;
   char* end = nullptr;
@@ -66,8 +58,8 @@ bool parse_burst_spec(const std::string& text, BurstSpec* out,
   const std::vector<std::string> fields = split_fields(text);
   spec.kind = fields[0];
   if (spec.kind == "onoff") {
-    if (fields.size() != 3 || !parse_step_field(fields[1], &spec.on_steps) ||
-        !parse_step_field(fields[2], &spec.off_steps))
+    if (fields.size() != 3 || !parse_decimal(fields[1], &spec.on_steps) ||
+        !parse_decimal(fields[2], &spec.off_steps))
       return fail(error, "burst: expected onoff:<on>:<off>");
     if (spec.on_steps < 1 || spec.off_steps < 1)
       return fail(error, "burst: onoff periods must be >= 1");
@@ -79,7 +71,7 @@ bool parse_burst_spec(const std::string& text, BurstSpec* out,
         !(spec.p10 > 0.0 && spec.p10 <= 1.0))
       return fail(error, "burst: mmpp probabilities must be in (0, 1]");
   } else if (spec.kind == "drift") {
-    if (fields.size() != 2 || !parse_step_field(fields[1], &spec.drift_period))
+    if (fields.size() != 2 || !parse_decimal(fields[1], &spec.drift_period))
       return fail(error, "burst: expected drift:<period>");
     if (spec.drift_period < 1)
       return fail(error, "burst: drift period must be >= 1");

@@ -57,7 +57,9 @@ TEST(BurstSpec, MalformedSpecsRejected) {
   for (const char* bad :
        {"onoff", "onoff:4", "onoff:0:4", "onoff:4:x", "mmpp:0.2",
         "mmpp:0:0.1", "mmpp:1.5:0.1", "drift", "drift:0", "drift:abc",
-        "sawtooth:3"}) {
+        "sawtooth:3",
+        // Whole decimal fields in range only: no clamping, no sign.
+        "onoff:99999999999999999999:4", "onoff:+4:4", "drift:4 "}) {
     EXPECT_FALSE(parse_burst_spec(bad, &b, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }

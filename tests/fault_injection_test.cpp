@@ -49,7 +49,10 @@ TEST(FaultSchedule, MalformedSpecsRejected) {
   std::string error;
   for (const char* bad :
        {"node:5", "node:5@0", "node:5@4-2", "node:x@3", "link:5@3",
-        "link:5:Q@3", "gate:5@3", "node:5@3-"}) {
+        "link:5:Q@3", "gate:5@3", "node:5@3-",
+        // Whole decimal fields in range only: no narrowing or clamping.
+        "node:4294967297@3", "link:4294967301:N@3",
+        "node:5@99999999999999999999", "node:5@+3"}) {
     EXPECT_FALSE(parse_fault_schedule(bad, &s, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
