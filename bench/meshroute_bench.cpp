@@ -24,12 +24,11 @@
 //                                          built-in seed. Echoed in the
 //                                          JSON records.
 //   meshroute_bench --resume=DIR           durable-run store: scenario runs
-//                                          write periodic checkpoints under
-//                                          DIR and, on a re-run after a
-//                                          crash, resume from the latest
-//                                          checkpoint (or skip runs whose
-//                                          .done.json record exists),
-//                                          bit-identically to an
+//                                          write a checkpoint under DIR
+//                                          periodically and at the end; a
+//                                          re-run resumes each from its
+//                                          checkpoint (a finished one steps
+//                                          nothing), bit-identically to an
 //                                          uninterrupted run
 //   meshroute_bench --checkpoint-every=N   checkpoint cadence in steps for
 //                                          --resume stores (default 256)

@@ -219,10 +219,4 @@ std::string number_to_string(double v) {
   return buf;
 }
 
-std::string exact_number_to_string(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 }  // namespace mr::json

@@ -49,9 +49,4 @@ std::string escape(const std::string& s);
 /// that round-trips integers exactly ("3" not "3.000000").
 std::string number_to_string(double v);
 
-/// Formats a double with enough digits to round-trip ANY IEEE double
-/// exactly (%.17g). Checkpoint-grade records that must compare equal to a
-/// re-serialisation use this instead of number_to_string.
-std::string exact_number_to_string(double v);
-
 }  // namespace mr::json

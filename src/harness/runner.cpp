@@ -3,11 +3,10 @@
 #include <optional>
 
 #include "check/adversary.hpp"
-#include "harness/checkpoint.hpp"
 #include "routing/registry.hpp"
 #include "telemetry/export.hpp"
 #include "topo/registry.hpp"
-#include "traffic/pump.hpp"
+#include "traffic/drain.hpp"
 
 namespace mr {
 
@@ -36,27 +35,8 @@ Step default_step_budget(std::int32_t width, std::int32_t height, int k) {
 
 RunResult run_workload(const RunSpec& spec, const Workload& workload,
                        const RunHooks& hooks) {
-  const CheckpointSpec& ckpt = spec.checkpoint;
-  if (ckpt.enabled()) {
-    // A finished run short-circuits to its durable record; a corrupt record
-    // is store damage and must fail loudly, not silently re-run.
-    std::string done;
-    if (read_text_file(ckpt.done_path(), &done)) {
-      RunResult recorded;
-      std::string error;
-      if (!run_result_from_json(done, &recorded, &error))
-        throw SnapshotError(SnapshotError::Kind::Format,
-                            ckpt.done_path() + ": " + error);
-      return recorded;
-    }
-  }
-
-  // The single topology resolution point: spec.resolved_topology() is a
-  // registry name.
-  TopoSpec ts = parse_topology_spec(spec.resolved_topology());
-  ts.width = spec.width;
-  ts.height = spec.height;
-  const std::unique_ptr<Topology> topo = make_topology(ts);
+  const std::unique_ptr<Topology> topo =
+      make_topology(spec.resolved_topology(), spec.width, spec.height);
 
   const bool open_loop = hooks.traffic != nullptr;
   // The spec-level adversary flag materialises a GreedyAdversary unless
@@ -82,23 +62,14 @@ RunResult run_workload(const RunSpec& spec, const Workload& workload,
   Engine engine(*topo, config,
                 [&] { return make_algorithm(spec.algorithm); });
 
-  std::optional<EngineSnapshot> resume;
-  if (ckpt.enabled()) {
-    std::string bytes;
-    if (read_text_file(ckpt.snapshot_path(), &bytes))
-      resume = parse_snapshot(bytes);
-  }
-
-  if (!resume)
-    for (const Demand& d : workload)
-      engine.add_packet(d.source, d.dest, d.injected_at);
-
   std::optional<TrafficPump> pump;
+  std::vector<CheckpointPart> parts;
   if (open_loop) {
     MR_REQUIRE_MSG(spec.traffic_steps >= 1,
                    "open-loop run needs traffic_steps >= 1");
     pump.emplace(engine, *hooks.traffic, spec.traffic_steps,
                  spec.traffic_ahead);
+    parts = {{"source", hooks.traffic}, {"pump", &*pump}};
   }
 
   if (!spec.faults.empty()) engine.set_fault_schedule(spec.faults);
@@ -117,57 +88,13 @@ RunResult run_workload(const RunSpec& spec, const Workload& workload,
 
   for (StepObserver* o : hooks.step_observers) engine.add_observer(o);
 
-  if (resume) {
-    // The engine snapshot carries the whole workload (pre-scheduled and
-    // pumped packets alike); restore instead of add_packet/prime/prepare.
-    if (open_loop) {
-      const std::string* source_blob = resume->find_aux("source");
-      const std::string* pump_blob = resume->find_aux("pump");
-      if (!source_blob || !pump_blob)
-        throw SnapshotError(SnapshotError::Kind::Format,
-                            "snapshot of an open-loop run is missing the "
-                            "source/pump aux state");
-      hooks.traffic->restore_state(*source_blob);
-      pump->restore_state(*pump_blob);
-    }
-    engine.restore(*resume);
-  } else {
-    if (pump) pump->prime();
-    engine.prepare();
-  }
-
   Step budget = spec.max_steps > 0
                     ? spec.max_steps
                     : default_step_budget(spec.width, spec.height,
                                           spec.queue_capacity);
   if (pump && spec.max_steps == 0) budget += spec.traffic_steps;
-
-  const auto maybe_checkpoint = [&] {
-    if (!ckpt.enabled() || engine.step() % ckpt.every != 0) return;
-    EngineSnapshot snap = engine.snapshot();
-    if (open_loop) {
-      snap.set_aux("source", hooks.traffic->save_state());
-      snap.set_aux("pump", pump->save_state());
-    }
-    write_snapshot_file(ckpt.snapshot_path(), snap);
-  };
-
-  // The stepping loops mirror Engine::run / run_to_drain exactly, with a
-  // snapshot dropped every ckpt.every steps.
-  if (pump) {
-    while (!engine.stalled() && engine.step() < budget) {
-      pump->advance();
-      if (engine.all_delivered()) break;  // stream exhausted and drained
-      if (!engine.step_once()) break;
-      maybe_checkpoint();
-    }
-  } else {
-    while (!engine.all_delivered() && !engine.stalled() &&
-           engine.step() < budget) {
-      if (!engine.step_once()) break;
-      maybe_checkpoint();
-    }
-  }
+  run_to_drain(engine, workload, pump ? &*pump : nullptr, budget,
+               spec.checkpoint, parts);
 
   RunResult result;
   result.steps = engine.step();
@@ -203,9 +130,6 @@ RunResult run_workload(const RunSpec& spec, const Workload& workload,
         result.phase_profile ? &*result.phase_profile : nullptr,
         telemetry.export_dir);
   }
-
-  if (ckpt.enabled())
-    write_text_file_atomic(ckpt.done_path(), run_result_to_json(result));
   return result;
 }
 

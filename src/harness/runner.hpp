@@ -24,7 +24,7 @@ class TrafficSource;
 /// (phase (b) runs on the coordinator over the whole step's moves),
 /// reported as SequentialFallback. Sequential means one band on the
 /// calling thread; the names predate the single step pipeline and are kept
-/// because recorded JSON and checkpoint done-records parse them.
+/// because recorded scenario JSON carries them.
 enum class EngineMode {
   Sequential,
   Sharded,
@@ -100,12 +100,12 @@ struct RunSpec {
   bool adversary = false;
 
   /// Durable-run store (sim/snapshot.hpp). When enabled, run_workload
-  /// writes a snapshot every `checkpoint.every` steps and the finished
-  /// result as <key>.done.json; started against an existing store it
-  /// resumes — a done record short-circuits, a snapshot restores the
-  /// engine (and, for open-loop runs, the traffic source and pump) and
-  /// continues bit-identically. Telemetry series on a mid-run resume cover
-  /// only the post-restore window.
+  /// snapshots the engine (and, for open-loop runs, the traffic source and
+  /// pump) every `checkpoint.every` steps and once more at the end, through
+  /// run_to_drain (traffic/drain.hpp). Started against a store holding a
+  /// snapshot it restores and continues bit-identically; a finished run's
+  /// snapshot steps nothing and yields the same result. Telemetry and the
+  /// phase profile on a resumed run cover only the steps this call ran.
   CheckpointSpec checkpoint;
 };
 
@@ -141,6 +141,8 @@ struct RunResult {
   std::string telemetry_path;
   /// How the engine actually stepped (see EngineMode).
   EngineMode engine_mode = EngineMode::Sequential;
+
+  bool operator==(const RunResult&) const = default;
 };
 
 /// Runs the workload to completion (or to max_steps / stall), with

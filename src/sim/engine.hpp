@@ -112,6 +112,7 @@ struct PhaseProfile {
     for (double v : seconds) s += v;
     return s;
   }
+  bool operator==(const PhaseProfile&) const = default;
 };
 
 class Engine : public Sim {

@@ -12,6 +12,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 namespace mr {
@@ -149,6 +150,35 @@ void Engine::restore(const EngineSnapshot& snap) {
       format_error("waiting injections are not in ascending id order");
     require_outside(id, "waiting");
   }
+  // Queued packets in (location, slot) order: each node's slots must run
+  // 0, 1, 2, ... with no gap or duplicate, and no queue may exceed k.
+  // Replaying this order through the slab below then reproduces every
+  // queue in arrival order.
+  std::vector<PacketId> queued;
+  queued.reserve(queued_count);
+  for (const Packet& pk : snap.packets)
+    if (!pk.delivered() && pk.slot >= 0) queued.push_back(pk.id);
+  std::sort(queued.begin(), queued.end(), [&snap](PacketId a, PacketId b) {
+    const Packet& pa = snap.packets[static_cast<std::size_t>(a)];
+    const Packet& pb = snap.packets[static_cast<std::size_t>(b)];
+    if (pa.location != pb.location) return pa.location < pb.location;
+    return pa.slot < pb.slot;
+  });
+  std::int32_t next_slot = 0;
+  std::array<int, kNumDirs> inlink_used{};
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    const Packet& pk = snap.packets[static_cast<std::size_t>(queued[i])];
+    if (i == 0 || pk.location != snap.packets[static_cast<std::size_t>(
+                                     queued[i - 1])].location) {
+      next_slot = 0;
+      inlink_used.fill(0);
+    }
+    const int used = layout_ == QueueLayout::Central
+                         ? next_slot
+                         : inlink_used[static_cast<std::size_t>(pk.queue)]++;
+    if (used >= queue_capacity_) format_error("queue over capacity in snapshot");
+    if (pk.slot != next_slot++) format_error("queue slot sequence corrupt");
+  }
 
   // --- adopt primary state ----------------------------------------------
   packets_ = snap.packets;
@@ -177,29 +207,9 @@ void Engine::restore(const EngineSnapshot& snap) {
     sh.waiting = 0;
   }
 
-  // Replaying the queued packets in (location, slot) order through the
-  // slab reproduces every queue in arrival order; push_back returning a
-  // different slot than the record carries means the slot sequence of some
-  // node has a gap or duplicate.
-  std::vector<PacketId> queued;
-  queued.reserve(queued_count);
-  for (const Packet& pk : packets_)
-    if (!pk.delivered() && pk.slot >= 0) queued.push_back(pk.id);
-  std::sort(queued.begin(), queued.end(), [this](PacketId a, PacketId b) {
-    const Packet& pa = packets_[a];
-    const Packet& pb = packets_[b];
-    if (pa.location != pb.location) return pa.location < pb.location;
-    return pa.slot < pb.slot;
-  });
   for (PacketId p : queued) {
     Packet& pk = packets_[p];
-    const int used = layout_ == QueueLayout::Central
-                         ? static_cast<int>(node_packets_.size(pk.location))
-                         : static_cast<int>(
-                               inlink_occ_[inlink_index(pk.location, pk.queue)]);
-    if (used >= queue_capacity_) format_error("queue over capacity in snapshot");
-    const std::int32_t slot = node_packets_.push_back(pk.location, p);
-    if (slot != pk.slot) format_error("queue slot sequence corrupt");
+    node_packets_.push_back(pk.location, p);
     pk.profitable = topo_->profitable_dirs(pk.location, pk.dest);
     if (layout_ == QueueLayout::PerInlink)
       ++inlink_occ_[inlink_index(pk.location, pk.queue)];

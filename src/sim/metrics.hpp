@@ -17,6 +17,8 @@ struct LatencySummary {
   Step p95 = 0;
   Step p99 = 0;
   Step max = 0;
+
+  bool operator==(const LatencySummary&) const = default;
 };
 
 /// LatencySummary of a latency histogram; all zero when it is empty.

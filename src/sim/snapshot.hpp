@@ -150,11 +150,11 @@ class Snapshottable {
 };
 
 /// Where (and how often) a run persists checkpoints. Shared by the batch
-/// harness (RunSpec) and the steady-state runner (SteadyStateSpec). `key` names the run inside `dir`: the engine snapshot lives at
-/// <dir>/<key>.ckpt and the finished-result record at
-/// <dir>/<key>.done.json. A run started with an existing store resumes:
-/// a .done.json short-circuits to the recorded result, a .ckpt restores
-/// the engine and continues.
+/// harness (RunSpec) and the steady-state runner (SteadyStateSpec). `key`
+/// names the run inside `dir`; its one record is the engine snapshot at
+/// <dir>/<key>.ckpt, written every `every` steps and when the run ends
+/// (run_to_drain, traffic/drain.hpp). A run started with an existing
+/// .ckpt restores it and continues; a finished run's .ckpt steps nothing.
 struct CheckpointSpec {
   std::string dir;   ///< empty = checkpointing disabled
   Step every = 256;  ///< snapshot interval in steps (>= 1)
@@ -162,7 +162,6 @@ struct CheckpointSpec {
 
   bool enabled() const { return !dir.empty() && !key.empty(); }
   std::string snapshot_path() const { return dir + "/" + key + ".ckpt"; }
-  std::string done_path() const { return dir + "/" + key + ".done.json"; }
 };
 
 /// Atomic small-file helpers for checkpoint stores (tmp + rename, like

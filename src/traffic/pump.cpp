@@ -74,7 +74,7 @@ void TrafficPump::restore_state(const std::string& blob) {
   long long emitted = 0, primed = 0, offered = 0, count = 0;
   if (!(in >> tag >> emitted >> primed >> offered >> count) || tag != "pump/1")
     bad("not a pump/1 record");
-  if (emitted < 0 || offered < 0 || count != emitted)
+  if (emitted < 0 || emitted > inject_steps_ || offered < 0 || count != emitted)
     bad("inconsistent counters");
   std::vector<std::int32_t> per_step(static_cast<std::size_t>(count));
   for (std::int32_t& c : per_step)
@@ -92,15 +92,6 @@ std::int64_t TrafficPump::offered_between(Step first, Step last) const {
   for (Step t = lo; t <= hi; ++t)
     sum += offered_per_step_[static_cast<std::size_t>(t - 1)];
   return sum;
-}
-
-Step run_to_drain(Engine& engine, TrafficPump& pump, Step max_steps) {
-  while (!engine.stalled() && engine.step() < max_steps) {
-    pump.advance();
-    if (engine.all_delivered()) break;  // stream exhausted and drained
-    engine.step_once();
-  }
-  return engine.step();
 }
 
 }  // namespace mr

@@ -68,12 +68,4 @@ class TrafficPump : public Snapshottable {
   std::vector<Demand> buf_;
 };
 
-/// Drives an open-loop run to drain: alternates pump.advance() and
-/// engine.step_once() until the stream is exhausted and every packet is
-/// delivered, the engine stalls, or max_steps executed. The engine should
-/// run with Config::stall_counts_pending_injections so a deadlock trips
-/// the stall limit despite the pump's pending window. Returns the last
-/// executed step.
-Step run_to_drain(Engine& engine, TrafficPump& pump, Step max_steps);
-
 }  // namespace mr

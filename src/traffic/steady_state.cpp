@@ -1,27 +1,25 @@
 #include "traffic/steady_state.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "core/assert.hpp"
-#include "core/json_min.hpp"
 #include "core/stats.hpp"
 #include "routing/registry.hpp"
 #include "topo/registry.hpp"
-#include "sim/engine.hpp"
-#include "traffic/pump.hpp"
+#include "traffic/drain.hpp"
 
 namespace mr {
 namespace {
 
 /// Routes each step digest's injection/delivery counters into the phase
 /// the step belongs to. Prepare-time events (step 0) count as warmup.
-class PhaseAccountant final : public StepObserver {
+/// Its checkpoint blob ("acct/1") holds the six streamed counters; steps
+/// and offered are recomputed at run end from the engine and pump.
+class PhaseAccountant final : public StepObserver, public Snapshottable {
  public:
   PhaseAccountant(Step warmup_end, Step measure_end, TrafficPhaseStats& warmup,
                   TrafficPhaseStats& measure, TrafficPhaseStats& drain)
@@ -45,6 +43,29 @@ class PhaseAccountant final : public StepObserver {
     phase.delivered += d.deliveries;
   }
 
+  std::string save_state() const override {
+    std::string out = "acct/1";
+    for (const TrafficPhaseStats* p : {&warmup_, &measure_, &drain_})
+      out += " " + std::to_string(p->injected) + " " +
+             std::to_string(p->delivered);
+    return out;
+  }
+  void restore_state(const std::string& blob) override {
+    std::istringstream in(blob);
+    std::string tag;
+    std::int64_t v[6];
+    if (!(in >> tag >> v[0] >> v[1] >> v[2] >> v[3] >> v[4] >> v[5]) ||
+        tag != "acct/1")
+      throw SnapshotError(SnapshotError::Kind::Format,
+                          "steady-state checkpoint: bad acct/1 blob");
+    warmup_.injected = v[0];
+    warmup_.delivered = v[1];
+    measure_.injected = v[2];
+    measure_.delivered = v[3];
+    drain_.injected = v[4];
+    drain_.delivered = v[5];
+  }
+
  private:
   Step warmup_end_;
   Step measure_end_;
@@ -52,30 +73,6 @@ class PhaseAccountant final : public StepObserver {
   TrafficPhaseStats& measure_;
   TrafficPhaseStats& drain_;
 };
-
-/// Phase-accounting aux blob for mid-run checkpoints: the six streamed
-/// counters the PhaseAccountant has accumulated (steps/offered are
-/// recomputed at run end from the engine/pump, which the snapshot covers).
-std::string acct_blob(const SteadyStateResult& r) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "acct/1 %" PRId64 " %" PRId64 " %" PRId64 " %" PRId64
-                " %" PRId64 " %" PRId64,
-                r.warmup.injected, r.warmup.delivered, r.measure.injected,
-                r.measure.delivered, r.drain.injected, r.drain.delivered);
-  return buf;
-}
-
-void restore_acct(const std::string& blob, SteadyStateResult* r) {
-  if (std::sscanf(blob.c_str(),
-                  "acct/1 %" SCNd64 " %" SCNd64 " %" SCNd64 " %" SCNd64
-                  " %" SCNd64 " %" SCNd64,
-                  &r->warmup.injected, &r->warmup.delivered,
-                  &r->measure.injected, &r->measure.delivered,
-                  &r->drain.injected, &r->drain.delivered) != 6)
-    throw SnapshotError(SnapshotError::Kind::Format,
-                        "steady-state checkpoint: bad acct/1 blob");
-}
 
 }  // namespace
 
@@ -85,18 +82,6 @@ std::unique_ptr<Topology> steady_state_topology(const SteadyStateSpec& spec) {
 
 SteadyStateResult run_steady_state(const SteadyStateSpec& spec,
                                    TrafficSource& source) {
-  const CheckpointSpec& ckpt = spec.checkpoint;
-  if (ckpt.enabled()) {
-    std::string done;
-    if (read_text_file(ckpt.done_path(), &done)) {
-      SteadyStateResult recorded;
-      std::string error;
-      if (!steady_state_result_from_json(done, &recorded, &error))
-        throw SnapshotError(SnapshotError::Kind::Format,
-                            ckpt.done_path() + ": " + error);
-      return recorded;
-    }
-  }
   MR_REQUIRE_MSG(spec.width >= 1 && spec.height >= 1,
                  "mesh dimensions must be >= 1");
   MR_REQUIRE_MSG(spec.warmup_steps >= 0, "warmup_steps must be >= 0");
@@ -131,46 +116,10 @@ SteadyStateResult run_steady_state(const SteadyStateSpec& spec,
   engine.add_observer(static_cast<StepObserver*>(&accountant));
 
   TrafficPump pump(engine, source, inject_end, spec.pump_ahead);
-
-  std::optional<EngineSnapshot> resume;
-  if (ckpt.enabled()) {
-    std::string bytes;
-    if (read_text_file(ckpt.snapshot_path(), &bytes))
-      resume = parse_snapshot(bytes);
-  }
-  if (resume) {
-    const std::string* source_blob = resume->find_aux("source");
-    const std::string* pump_blob = resume->find_aux("pump");
-    const std::string* acct = resume->find_aux("acct");
-    if (!source_blob || !pump_blob || !acct)
-      throw SnapshotError(SnapshotError::Kind::Format,
-                          "steady-state checkpoint is missing the "
-                          "source/pump/acct aux state");
-    source.restore_state(*source_blob);
-    pump.restore_state(*pump_blob);
-    restore_acct(*acct, &r);
-    engine.restore(*resume);
-  } else {
-    pump.prime();
-    engine.prepare();
-  }
-
-  // run_to_drain, with a snapshot dropped every ckpt.every steps.
-  const auto maybe_checkpoint = [&] {
-    if (!ckpt.enabled() || engine.step() % ckpt.every != 0) return;
-    EngineSnapshot snap = engine.snapshot();
-    snap.set_aux("source", source.save_state());
-    snap.set_aux("pump", pump.save_state());
-    snap.set_aux("acct", acct_blob(r));
-    write_snapshot_file(ckpt.snapshot_path(), snap);
-  };
-  while (!engine.stalled() && engine.step() < max_steps) {
-    pump.advance();
-    if (engine.all_delivered()) break;  // stream exhausted and drained
-    if (!engine.step_once()) break;
-    maybe_checkpoint();
-  }
-  const Step last = engine.step();
+  const CheckpointPart parts[] = {
+      {"source", &source}, {"pump", &pump}, {"acct", &accountant}};
+  const Step last =
+      run_to_drain(engine, {}, &pump, max_steps, spec.checkpoint, parts);
 
   r.steps = last;
   r.stalled = engine.stalled();
@@ -241,9 +190,6 @@ SteadyStateResult run_steady_state(const SteadyStateSpec& spec,
         overall > 0 ? std::abs(mean_second - mean_first) / overall : 0;
     r.stationary = r.stationarity_drift <= spec.stationarity_tolerance;
   }
-
-  if (ckpt.enabled())
-    write_text_file_atomic(ckpt.done_path(), steady_state_result_to_json(r));
   return r;
 }
 
@@ -252,142 +198,6 @@ SteadyStateResult run_steady_state(const SteadyStateSpec& spec) {
   const std::unique_ptr<TrafficSource> source =
       make_traffic_source(*topo, spec.traffic, spec.burst);
   return run_steady_state(spec, *source);
-}
-
-namespace {
-
-void phase_json(std::ostringstream& os, const char* name,
-                const TrafficPhaseStats& p) {
-  os << "\"" << name << "\": {\"steps\": " << p.steps
-     << ", \"offered\": " << p.offered << ", \"injected\": " << p.injected
-     << ", \"delivered\": " << p.delivered << "}";
-}
-
-bool parse_phase(const json::Value& doc, const char* name,
-                 TrafficPhaseStats* out) {
-  const json::Value* p = doc.find(name);
-  if (!p || !p->is_object()) return false;
-  const auto get = [&](const char* key, std::int64_t* v) {
-    const json::Value* field = p->find(key);
-    if (!field || !field->is_number()) return false;
-    *v = static_cast<std::int64_t>(field->number);
-    return true;
-  };
-  std::int64_t steps = 0;
-  if (!get("steps", &steps) || !get("offered", &out->offered) ||
-      !get("injected", &out->injected) || !get("delivered", &out->delivered))
-    return false;
-  out->steps = steps;
-  return true;
-}
-
-}  // namespace
-
-std::string steady_state_result_to_json(const SteadyStateResult& r) {
-  std::ostringstream os;
-  os << "{\"format\": \"meshroute-steady/1\", ";
-  phase_json(os, "warmup", r.warmup);
-  os << ", ";
-  phase_json(os, "measure", r.measure);
-  os << ", ";
-  phase_json(os, "drain", r.drain);
-  os << ", \"offered_rate\": " << json::exact_number_to_string(r.offered_rate)
-     << ", \"accepted_rate\": " << json::exact_number_to_string(r.accepted_rate)
-     << ", \"latency\": {\"mean\": " << json::exact_number_to_string(r.latency.mean)
-     << ", \"p50\": " << r.latency.p50 << ", \"p95\": " << r.latency.p95
-     << ", \"p99\": " << r.latency.p99 << ", \"max\": " << r.latency.max << "}"
-     << ", \"measured_packets\": " << r.measured_packets
-     << ", \"measured_delivered\": " << r.measured_delivered
-     << ", \"stationary\": " << (r.stationary ? "true" : "false")
-     << ", \"stationarity_drift\": "
-     << json::exact_number_to_string(r.stationarity_drift)
-     << ", \"drained\": " << (r.drained ? "true" : "false")
-     << ", \"stalled\": " << (r.stalled ? "true" : "false")
-     << ", \"steps\": " << r.steps << ", \"max_queue\": " << r.max_queue
-     << ", \"total_moves\": " << r.total_moves
-     << ", \"total_offered\": " << r.total_offered
-     << ", \"total_delivered\": " << r.total_delivered
-     << ", \"backlog_end\": " << r.backlog_end << "}\n";
-  return os.str();
-}
-
-bool steady_state_result_from_json(const std::string& text,
-                                   SteadyStateResult* result,
-                                   std::string* error) {
-  const auto fail = [error](const std::string& what) {
-    if (error) *error = "meshroute-steady/1: " + what;
-    return false;
-  };
-  std::string parse_error;
-  std::optional<json::Value> doc = json::parse(text, &parse_error);
-  if (!doc || !doc->is_object())
-    return fail("not a JSON object: " + parse_error);
-  const json::Value* format = doc->find("format");
-  if (!format || !format->is_string() || format->string != "meshroute-steady/1")
-    return fail("missing or wrong \"format\"");
-
-  SteadyStateResult r;
-  if (!parse_phase(*doc, "warmup", &r.warmup) ||
-      !parse_phase(*doc, "measure", &r.measure) ||
-      !parse_phase(*doc, "drain", &r.drain))
-    return fail("malformed phase record");
-
-  const auto get_int = [&](const char* key, std::int64_t* v) {
-    const json::Value* field = doc->find(key);
-    if (!field || !field->is_number()) return false;
-    *v = static_cast<std::int64_t>(field->number);
-    return true;
-  };
-  const auto get_double = [&](const char* key, double* v) {
-    const json::Value* field = doc->find(key);
-    if (!field || !field->is_number()) return false;
-    *v = field->number;
-    return true;
-  };
-  const auto get_bool = [&](const char* key, bool* v) {
-    const json::Value* field = doc->find(key);
-    if (!field || !field->is_bool()) return false;
-    *v = field->boolean;
-    return true;
-  };
-
-  const json::Value* latency = doc->find("latency");
-  if (!latency || !latency->is_object()) return fail("missing \"latency\"");
-  const json::Value* mean = latency->find("mean");
-  if (!mean || !mean->is_number()) return fail("malformed \"latency\"");
-  r.latency.mean = mean->number;
-  const auto get_lat = [&](const char* key, Step* v) {
-    const json::Value* field = latency->find(key);
-    if (!field || !field->is_number()) return false;
-    *v = static_cast<Step>(field->number);
-    return true;
-  };
-  if (!get_lat("p50", &r.latency.p50) || !get_lat("p95", &r.latency.p95) ||
-      !get_lat("p99", &r.latency.p99) || !get_lat("max", &r.latency.max))
-    return fail("malformed \"latency\"");
-
-  std::int64_t steps = 0, max_queue = 0, measured_packets = 0,
-               measured_delivered = 0;
-  if (!get_double("offered_rate", &r.offered_rate) ||
-      !get_double("accepted_rate", &r.accepted_rate) ||
-      !get_double("stationarity_drift", &r.stationarity_drift) ||
-      !get_int("measured_packets", &measured_packets) ||
-      !get_int("measured_delivered", &measured_delivered) ||
-      !get_bool("stationary", &r.stationary) ||
-      !get_bool("drained", &r.drained) || !get_bool("stalled", &r.stalled) ||
-      !get_int("steps", &steps) || !get_int("max_queue", &max_queue) ||
-      !get_int("total_moves", &r.total_moves) ||
-      !get_int("total_offered", &r.total_offered) ||
-      !get_int("total_delivered", &r.total_delivered) ||
-      !get_int("backlog_end", &r.backlog_end))
-    return fail("missing scalar field");
-  r.steps = steps;
-  r.max_queue = static_cast<int>(max_queue);
-  r.measured_packets = static_cast<std::size_t>(measured_packets);
-  r.measured_delivered = static_cast<std::size_t>(measured_delivered);
-
-  *result = r;
-  return true;
 }
 
 }  // namespace mr

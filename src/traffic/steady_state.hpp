@@ -61,8 +61,9 @@ struct SteadyStateSpec {
 
   /// Durable-run store (sim/snapshot.hpp): run_steady_state snapshots the
   /// engine + source + pump + phase accounting every `checkpoint.every`
-  /// steps and records the finished result as <key>.done.json; against an
-  /// existing store it short-circuits or resumes bit-identically.
+  /// steps and once more at the end (run_to_drain, traffic/drain.hpp);
+  /// against an existing store it resumes bit-identically, and a finished
+  /// run's snapshot reproduces the result without stepping.
   CheckpointSpec checkpoint;
 };
 
@@ -74,6 +75,8 @@ struct TrafficPhaseStats {
   std::int64_t offered = 0;
   std::int64_t injected = 0;
   std::int64_t delivered = 0;
+
+  bool operator==(const TrafficPhaseStats&) const = default;
 };
 
 struct SteadyStateResult {
@@ -100,6 +103,8 @@ struct SteadyStateResult {
   std::int64_t total_offered = 0;
   std::int64_t total_delivered = 0;
   std::int64_t backlog_end = 0;  ///< undelivered packets at run end
+
+  bool operator==(const SteadyStateResult&) const = default;
 };
 
 /// Builds the network a steady-state spec routes on: the registry
@@ -114,13 +119,5 @@ SteadyStateResult run_steady_state(const SteadyStateSpec& spec);
 /// Same, with a caller-provided source (e.g. a ReplaySource).
 SteadyStateResult run_steady_state(const SteadyStateSpec& spec,
                                    TrafficSource& source);
-
-/// Durable-record round-trip (meshroute-steady/1), used by the checkpoint
-/// store's .done.json short-circuit. Serialisation is exact: parsing a
-/// serialised result reproduces every field bit for bit.
-std::string steady_state_result_to_json(const SteadyStateResult& result);
-bool steady_state_result_from_json(const std::string& text,
-                                   SteadyStateResult* result,
-                                   std::string* error);
 
 }  // namespace mr

@@ -4,8 +4,8 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 
-#include "harness/checkpoint.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "topo/mesh.hpp"
@@ -187,22 +187,20 @@ TEST(Runner, UnknownTopologyThrows) {
   EXPECT_THROW(run_workload(spec, {}), InvariantViolation);
 }
 
-TEST(Runner, RunResultJsonRoundTrips) {
-  const Mesh mesh = Mesh::square(8);
-  RunSpec spec;
-  spec.width = spec.height = 8;
-  spec.queue_capacity = 2;
-  spec.algorithm = "bounded-dimension-order";
-  const RunResult r = run_workload(spec, random_permutation(mesh, 6));
-  RunResult parsed;
-  std::string error;
-  ASSERT_TRUE(run_result_from_json(run_result_to_json(r), &parsed, &error))
-      << error;
-  // Exact round trip: re-serialisation is byte-identical.
-  EXPECT_EQ(run_result_to_json(parsed), run_result_to_json(r));
-  EXPECT_FALSE(run_result_from_json("{\"format\": \"wrong/1\"}", &parsed,
-                                    &error));
-}
+/// Counts the steps a run executes; at step `copy_at` it copies the
+/// store's snapshot file (a mid-run checkpoint then) to `copy`, which
+/// stands in for what a crash at that point would leave.
+struct StoreWatch final : StepObserver {
+  std::string ckpt, copy;
+  Step copy_at = -1;
+  int steps = 0;
+  void on_step(const Sim&, const StepDigest& d) override {
+    ++steps;
+    if (d.step == copy_at)
+      std::filesystem::copy_file(
+          ckpt, copy, std::filesystem::copy_options::overwrite_existing);
+  }
+};
 
 TEST(Runner, CheckpointStoreResumesBitIdentically) {
   const std::string dir = ::testing::TempDir() + "runner_ckpt_store";
@@ -219,33 +217,49 @@ TEST(Runner, CheckpointStoreResumesBitIdentically) {
   spec.traffic_steps = 64;
   spec.stall_limit = 4096;
 
+  StoreWatch watch;
   const auto run_open_loop = [&](const RunSpec& s) {
     BernoulliSource source(mesh, traffic);
     RunHooks hooks;
     hooks.traffic = &source;
+    hooks.step_observers = {&watch};
+    watch.steps = 0;
     return run_workload(s, {}, hooks);
   };
 
-  // Checkpointing must not perturb the run at all.
+  // Checkpointing must not perturb the run at all. During step 42 the
+  // store holds the snapshot of step 40.
   const RunResult baseline = run_open_loop(spec);
+  ASSERT_GT(baseline.steps, 48);
   spec.checkpoint.dir = dir;
   spec.checkpoint.key = "open_loop";
   spec.checkpoint.every = 8;
-  const RunResult stored = run_open_loop(spec);
-  EXPECT_EQ(run_result_to_json(stored), run_result_to_json(baseline));
-  ASSERT_TRUE(std::filesystem::exists(spec.checkpoint.done_path()));
-  ASSERT_TRUE(std::filesystem::exists(spec.checkpoint.snapshot_path()));
+  watch.ckpt = spec.checkpoint.snapshot_path();
+  watch.copy = dir + "/mid.ckpt";
+  watch.copy_at = 42;
+  EXPECT_EQ(run_open_loop(spec), baseline);
+  watch.copy_at = -1;
+  EXPECT_EQ(read_snapshot_file(watch.copy).meta.step, 40);
+  EXPECT_EQ(read_snapshot_file(watch.ckpt).meta.step, baseline.steps);
 
-  // A finished store short-circuits without re-running.
-  const RunResult cached = run_open_loop(spec);
-  EXPECT_EQ(run_result_to_json(cached), run_result_to_json(baseline));
+  // A finished store restores its final snapshot and executes no step.
+  EXPECT_EQ(run_open_loop(spec), baseline);
+  EXPECT_EQ(watch.steps, 0);
 
-  // Crash simulation: the done record is gone, a mid-run snapshot remains.
-  // The resumed run (fresh source; its RNG state comes from the snapshot's
-  // aux blobs) must reproduce the uninterrupted result bit for bit.
-  std::filesystem::remove(spec.checkpoint.done_path());
-  const RunResult resumed = run_open_loop(spec);
-  EXPECT_EQ(run_result_to_json(resumed), run_result_to_json(baseline));
+  // Crash simulation: the mid-run snapshot is back in the store. The
+  // resumed run (fresh source; its RNG state comes from the snapshot's
+  // aux blobs) reproduces the uninterrupted result bit for bit.
+  std::filesystem::copy_file(watch.copy, watch.ckpt,
+                             std::filesystem::copy_options::overwrite_existing);
+  EXPECT_EQ(run_open_loop(spec), baseline);
+  EXPECT_EQ(watch.steps, baseline.steps - 40);
+
+  // A torn store is a typed error, never a silent fresh start.
+  std::string bytes;
+  ASSERT_TRUE(read_text_file(watch.ckpt, &bytes));
+  std::ofstream(watch.ckpt, std::ios::binary | std::ios::trunc)
+      << bytes.substr(0, bytes.size() / 2);
+  EXPECT_THROW(run_open_loop(spec), SnapshotError);
 }
 
 TEST(Sweep, ResultsArePositionAddressed) {

@@ -287,6 +287,52 @@ TEST(Snapshot, RestoreRejectsInconsistentInjectionState) {
   EXPECT_EQ(engine.delivered_count(), fresh.delivered_count());
 }
 
+TEST(Snapshot, RejectedRestoreLeavesEngineUnchanged) {
+  // Both edits survive the wire format but break the queues the engine
+  // rebuilds from the packet records. restore() must reject them before
+  // it adopts anything: the engine, one step past the snapshot, is left
+  // exactly as it was.
+  const EngineSnapshot good = sample_snapshot("dimension-order", 1, /*crowd=*/4);
+  std::vector<int> queued_at(kN * kN, 0);
+  for (const Packet& pk : good.packets)
+    if (!pk.delivered() && pk.slot >= 0) ++queued_at[pk.location];
+  ASSERT_EQ(queued_at[0], 2) << "the crowd must fill node 0's queue (k = 2)";
+  // A donor is the last packet of a queue elsewhere, so moving it leaves
+  // its old queue consistent.
+  PacketId donor = kInvalidPacket;
+  for (const Packet& pk : good.packets)
+    if (!pk.delivered() && pk.slot >= 0 && pk.location != 0 &&
+        pk.slot == queued_at[pk.location] - 1)
+      donor = pk.id;
+  ASSERT_NE(donor, kInvalidPacket);
+
+  std::vector<std::pair<std::string, EngineSnapshot>> cases;
+  cases.emplace_back("queued packet's slot raised by 1", good);
+  ++cases.back().second.packets[static_cast<std::size_t>(donor)].slot;
+  cases.emplace_back("one packet too many in a queue", good);
+  Packet& extra = cases.back().second.packets[static_cast<std::size_t>(donor)];
+  extra.location = 0;
+  extra.slot = 2;
+
+  const std::unique_ptr<Topology> topo = make_topology("mesh", kN, kN);
+  Engine engine(*topo, engine_config(1),
+                [] { return make_algorithm("dimension-order"); });
+  engine.restore(good);
+  ASSERT_TRUE(engine.step_once());
+  const std::string state = serialize_snapshot(engine.snapshot());
+  for (const auto& [name, edited] : cases) {
+    SCOPED_TRACE(name);
+    const EngineSnapshot wire = parse_snapshot(serialize_snapshot(edited));
+    try {
+      engine.restore(wire);
+      ADD_FAILURE() << "restore accepted the snapshot";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::Format) << e.what();
+    }
+    EXPECT_EQ(serialize_snapshot(engine.snapshot()), state);
+  }
+}
+
 TEST(Snapshot, RewindRestoresPeakOccupancy) {
   // Restoring an earlier snapshot into a running engine rewinds the peak
   // occupancy too: the next step reports the rewound run's peak, not the

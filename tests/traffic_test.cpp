@@ -1,15 +1,18 @@
 // Open-loop traffic subsystem: generator determinism and rate accuracy,
 // pattern destination laws, pump/batch bit-equivalence, steady-state
-// phase-accounting invariants, and the saturation search.
+// phase-accounting invariants and checkpoint store, and the saturation
+// search.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
 #include "topo/mesh.hpp"
+#include "traffic/drain.hpp"
 #include "traffic/pattern.hpp"
-#include "traffic/pump.hpp"
 #include "traffic/saturation.hpp"
 #include "traffic/source.hpp"
 #include "traffic/steady_state.hpp"
@@ -155,9 +158,7 @@ TEST(TrafficPump, BitIdenticalToPreScheduledBatch) {
   Engine pumped(mesh, config, *algo_pumped);
   BernoulliSource live_source(mesh, tspec);
   TrafficPump pump(pumped, live_source, steps, /*ahead=*/4);
-  pump.prime();
-  pumped.prepare();
-  run_to_drain(pumped, pump, 100000);
+  run_to_drain(pumped, {}, &pump, 100000);
   ASSERT_TRUE(pumped.all_delivered());
 
   EXPECT_EQ(pump.offered(), static_cast<std::int64_t>(stream.size()));
@@ -180,13 +181,27 @@ TEST(TrafficPump, SurvivesIdleGapsAtLowRate) {
   BernoulliSource source(mesh,
                          spec_of(TrafficPattern::UniformRandom, 0.005, 3));
   TrafficPump pump(e, source, 400, /*ahead=*/2);
-  pump.prime();
-  e.prepare();
-  run_to_drain(e, pump, 100000);
+  run_to_drain(e, {}, &pump, 100000);
   EXPECT_TRUE(pump.exhausted());
   EXPECT_TRUE(e.all_delivered());
   EXPECT_FALSE(e.stalled());
   EXPECT_EQ(pump.offered(), static_cast<std::int64_t>(e.num_packets()));
+}
+
+TEST(TrafficPump, RestoreRejectsAWindowPastTheStream) {
+  // The per-step counts are sized from the blob; a count beyond the
+  // pump's own stream is rejected before anything is allocated.
+  const Mesh mesh = Mesh::square(4);
+  auto algo = make_algorithm("dimension-order");
+  Engine e(mesh, Engine::Config{}, *algo);
+  BernoulliSource source(mesh, spec_of(TrafficPattern::UniformRandom, 0.1, 3));
+  TrafficPump pump(e, source, 10, /*ahead=*/2);
+  EXPECT_THROW(pump.restore_state("pump/1 11 1 0 11"), SnapshotError);
+  EXPECT_THROW(
+      pump.restore_state("pump/1 4611686018427387904 1 0 4611686018427387904"),
+      SnapshotError);
+  EXPECT_NO_THROW(pump.restore_state("pump/1 2 1 3 2 1 2"));
+  EXPECT_EQ(pump.offered(), 3);
 }
 
 TEST(ReplaySource, ReproducesMaterializedStream) {
@@ -249,6 +264,79 @@ TEST(SteadyState, StalledRunIsReported) {
   EXPECT_TRUE(r.stalled);
   EXPECT_FALSE(r.drained);
   EXPECT_GT(r.backlog_end, 0);
+}
+
+/// Forwards to a BernoulliSource; when asked for step `copy_at` it copies
+/// the store's snapshot file (a mid-run checkpoint then) to `copy`, which
+/// stands in for what a crash at that point would leave.
+class CopyingSource final : public TrafficSource {
+ public:
+  CopyingSource(const Topology& topo, const TrafficSpec& spec, Step copy_at,
+                std::string ckpt, std::string copy)
+      : inner_(topo, spec),
+        copy_at_(copy_at),
+        ckpt_(std::move(ckpt)),
+        copy_(std::move(copy)) {}
+  void emit(Step step, std::vector<Demand>& out) override {
+    if (step == copy_at_)
+      std::filesystem::copy_file(
+          ckpt_, copy_, std::filesystem::copy_options::overwrite_existing);
+    inner_.emit(step, out);
+  }
+  std::string save_state() const override { return inner_.save_state(); }
+  void restore_state(const std::string& blob) override {
+    inner_.restore_state(blob);
+  }
+
+ private:
+  BernoulliSource inner_;
+  Step copy_at_;
+  std::string ckpt_, copy_;
+};
+
+TEST(SteadyState, CheckpointStoreResumesBitIdentically) {
+  const std::string dir = ::testing::TempDir() + "steady_ckpt_store";
+  std::filesystem::remove_all(dir);
+  SteadyStateSpec spec;
+  spec.width = spec.height = 8;
+  spec.queue_capacity = 2;
+  spec.algorithm = "bounded-dimension-order";
+  spec.traffic = spec_of(TrafficPattern::UniformRandom, 0.1, 33);
+  spec.warmup_steps = 64;
+  spec.measure_steps = 256;
+  const SteadyStateResult baseline = run_steady_state(spec);
+
+  // Checkpointing does not perturb the run. Emission of step 200 happens
+  // at engine step 200 - pump_ahead = 168, when the store holds the
+  // snapshot of step 160.
+  spec.checkpoint.dir = dir;
+  spec.checkpoint.key = "steady";
+  spec.checkpoint.every = 16;
+  const std::string ckpt = spec.checkpoint.snapshot_path();
+  const std::string mid = dir + "/mid.ckpt";
+  const Mesh mesh = Mesh::square(8);
+  CopyingSource source(mesh, spec.traffic, 200, ckpt, mid);
+  EXPECT_EQ(run_steady_state(spec, source), baseline);
+  ASSERT_TRUE(std::filesystem::exists(mid));
+  EXPECT_EQ(read_snapshot_file(mid).meta.step, 160);
+  EXPECT_EQ(read_snapshot_file(ckpt).meta.step, baseline.steps);
+
+  // A rerun of the finished store restores the final snapshot.
+  EXPECT_EQ(run_steady_state(spec), baseline);
+
+  // Crash simulation: the mid-run snapshot is back in the store. The
+  // resumed run (fresh source; its RNG state comes from the aux blobs)
+  // reproduces the uninterrupted result.
+  std::filesystem::copy_file(mid, ckpt,
+                             std::filesystem::copy_options::overwrite_existing);
+  EXPECT_EQ(run_steady_state(spec), baseline);
+
+  // A torn store is a typed error, never a silent fresh start.
+  std::string bytes;
+  ASSERT_TRUE(read_text_file(ckpt, &bytes));
+  std::ofstream(ckpt, std::ios::binary | std::ios::trunc)
+      << bytes.substr(0, bytes.size() / 2);
+  EXPECT_THROW(run_steady_state(spec), SnapshotError);
 }
 
 TEST(Saturation, BoundedRouterGainsWithK) {
